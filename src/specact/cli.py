@@ -91,6 +91,27 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _number(section: dict, key: str, where: str, kind: type = float,
+            default=None, positive: bool = False):
+    """section[key] as a finite int or float; ``default`` when the key is
+    absent (required when None).  Integers are never negative; ``positive``
+    also rules out zero.  Anything else is a ConfigError."""
+    value = _require(section, key, where) if default is None else section.get(key, default)
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+        ok = (math.isfinite(number) and number == float(value)
+              and (number > 0 if positive else kind is float or number >= 0))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        sign = "positive" if positive else "nonnegative" if kind is int else "finite"
+        noun = "integer" if kind is int else "number"
+        raise ConfigError(f"{where}.{key}: expected a {sign} {noun}, got {value!r}")
+    return number
+
+
 def _seed_of(section: dict, where: str, override: int | None) -> int:
     if override is not None:
         return override
@@ -118,15 +139,15 @@ def _as_complex_matrix(rows, where: str) -> np.ndarray:
 def build_spectrum(section: dict, override: int | None) -> Spectrum:
     kind = _require(section, "kind", "spectrum")
     if kind == "linear":
-        return linear_spectrum(int(_require(section, "dim", "spectrum")))
+        return linear_spectrum(_number(section, "dim", "spectrum", int, positive=True))
     if kind == "dirac-circle":
-        return dirac_circle_spectrum(int(_require(section, "dim", "spectrum")))
+        return dirac_circle_spectrum(_number(section, "dim", "spectrum", int, positive=True))
     if kind == "explicit":
         values = _require(section, "values", "spectrum")
         return Spectrum.from_values(np.asarray(values, dtype=float))
     if kind == "random-uniform":
-        dim = int(_require(section, "dim", "spectrum"))
-        lam_max = float(_require(section, "lam_max", "spectrum"))
+        dim = _number(section, "dim", "spectrum", int, positive=True)
+        lam_max = _number(section, "lam_max", "spectrum", positive=True)
         rng = make_rng(_seed_of(section, "spectrum", override), stream=1)
         return random_spectrum(dim, lam_max, rng)
     raise ConfigError(f"spectrum: unknown kind '{kind}'")
@@ -135,14 +156,12 @@ def build_spectrum(section: dict, override: int | None) -> Spectrum:
 def build_perturbation(section: dict, spec: Spectrum, override: int | None) -> np.ndarray:
     kind = _require(section, "kind", "perturbation")
     if kind == "random-hermitian":
-        norm = float(_require(section, "norm", "perturbation"))
-        if norm <= 0:
-            raise ConfigError("perturbation: norm target must be positive")
+        norm = _number(section, "norm", "perturbation", positive=True)
         rng = make_rng(_seed_of(section, "perturbation", override), stream=2)
         return random_hermitian(spec.dim, rng, norm=norm)
     if kind == "band":
-        norm = float(_require(section, "norm", "perturbation"))
-        bandwidth = int(_require(section, "bandwidth", "perturbation"))
+        norm = _number(section, "norm", "perturbation", positive=True)
+        bandwidth = _number(section, "bandwidth", "perturbation", int)
         rng = make_rng(_seed_of(section, "perturbation", override), stream=2)
         return band_hermitian(spec.dim, bandwidth, rng, norm=norm)
     if kind == "one-form":
@@ -218,11 +237,11 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
     f = build_function(_require(cfg, "function", "config"))
     run = cfg.get("run", {})
 
-    n_max = int(run.get("n_max", 4))
+    n_max = _number(run, "n_max", "run", int, default=4)
     route = route_flag or run.get("route", "dd")
     if route not in ROUTES:
         raise ConfigError(f"run.route: unknown route '{route}'")
-    budget = int(run.get("budget", DEFAULT_TUPLE_BUDGET))
+    budget = _number(run, "budget", "run", int, default=DEFAULT_TUPLE_BUDGET, positive=True)
     scaling = tuple(run.get("scaling_factors", (1.0, 0.5, 0.25)))
     contour = None
     if "contour" in run:
@@ -231,10 +250,10 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
                                 radius=float(_require(sec, "radius", "run.contour")),
                                 points=int(sec.get("points", 512)))
 
+    fd_step = _number(run, "fd_step", "run", default=0.05, positive=True)
+
     report = expand(spec, a, f, n_max, route=route, budget=budget,
-                    prune_threshold=float(run.get("prune_threshold", 0.0)),
-                    scaling_factors=scaling, contour=contour,
-                    fd_step=float(run.get("fd_step", 0.05)))
+                    scaling_factors=scaling, contour=contour, fd_step=fd_step)
 
     write_csv(os.path.join(out_dir, "expand.csv"),
               ["order", "contribution", "partial_sum", "remainder"],

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -125,6 +125,10 @@ def as_nodes(nodes: NodeList | Sequence[float]) -> NodeList:
 # spans at most this wide are summed as a centered Taylor series instead of
 # recursed; the raw recursion loses ~ (scale/width)^n digits on tight spans
 SERIES_SPAN = 0.5
+# derivative orders past n that a series ladder starts with: a unit-width
+# Gaussian needs at most ~23 series terms on spans below SERIES_SPAN, while
+# steep ones (t = 40) outrun it and rebuild the ladder longer
+SERIES_LADDER = 24
 
 
 def _dd_series(f: SmoothFunction, zs: np.ndarray) -> float:
@@ -134,24 +138,29 @@ def _dd_series(f: SmoothFunction, zs: np.ndarray) -> float:
     is the complete homogeneous symmetric polynomial h_{j-n}(z - c), so
     f[z_0..z_n] = sum_{k>=0} f^{(n+k)}(c) / (n+k)! h_k(z - c).  The h_k
     follow the prefix recurrence h_k(v_0..v_m) = h_k(v_0..v_{m-1}) +
-    v_m h_{k-1}(v_0..v_m).  Needs derivatives of arbitrary order.
+    v_m h_{k-1}(v_0..v_m).  Needs derivatives of arbitrary order; they
+    come from one derivative ladder, rebuilt twice as long whenever the
+    series outruns it.
     """
     n = len(zs) - 1
     center = float(np.mean(zs))
-    v = zs - center
-    h = np.ones(n + 1)
+    v = (zs - center).tolist()
+    h = [1.0] * (n + 1)
     coef = 1.0 / math.factorial(n)
-    total = float(f.deriv(n, center)) * coef
+    ladder = f.deriv_ladder(n + SERIES_LADDER, center)
+    total = ladder[n] * coef
     scale = abs(total)
     small = 0
     for k in range(1, 200):
         coef /= n + k
-        hk = np.empty(n + 1)
-        hk[0] = v[0] * h[0]
+        prev = v[0] * h[0]
+        h[0] = prev
         for m in range(1, n + 1):
-            hk[m] = hk[m - 1] + v[m] * h[m]
-        h = hk
-        term = float(f.deriv(n + k, center)) * coef * h[n]
+            prev = prev + v[m] * h[m]
+            h[m] = prev
+        if n + k >= len(ladder):
+            ladder = f.deriv_ladder(min(2 * (len(ladder) - 1), n + 199), center)
+        term = ladder[n + k] * coef * h[n]
         total += term
         scale = max(scale, abs(total))
         if abs(term) <= 1e-17 * scale + 1e-300:
@@ -167,33 +176,38 @@ def dd_recursive(f: SmoothFunction, nodes: NodeList | Sequence[float]) -> float:
     """Confluent Newton table value f[x_0, ..., x_n].
 
     Coincident clusters feed f^{(j)}(x)/j! into the table; f must provide
-    derivatives up to (largest multiplicity - 1).  The result is symmetric
-    under node permutations because the table works on sorted nodes.
-    When f carries derivatives of all orders, spans narrower than
-    SERIES_SPAN are evaluated by the centered series, so the recursion
-    never divides by a small gap.
+    derivatives up to (largest multiplicity - 1), taken from one
+    derivative ladder per cluster.  The result is symmetric under node
+    permutations because the table works on sorted nodes.  When f carries
+    derivatives of all orders, spans narrower than SERIES_SPAN are
+    evaluated by the centered series, so the recursion never divides by a
+    small gap.
     """
     nl = as_nodes(nodes)
-    z = nl.expanded()
-    f.require_order(nl.max_multiplicity - 1)
+    clusters = nl.clusters()
+    z = np.array([value for value, mult in clusters for _ in range(mult)])
+    f.require_order(max(mult for _, mult in clusters) - 1)
     m = len(z)
     series_ok = f.max_order is None
     if series_ok and m > 1 and z[-1] - z[0] <= SERIES_SPAN and z[-1] > z[0]:
         return _dd_series(f, z)
+    ladders = {value: f.deriv_ladder(mult - 1, value) for value, mult in clusters if mult > 1}
     col = np.asarray(f(z), dtype=float)
     if col.ndim == 0:
         col = col.reshape(1)
+    col = col.tolist()
+    zl = z.tolist()
     inv_fact = 1.0
     for j in range(1, m):
         inv_fact /= j
-        new = np.empty(m - j)
+        new = [0.0] * (m - j)
         for i in range(m - j):
-            if z[i + j] == z[i]:
-                new[i] = float(f.deriv(j, z[i])) * inv_fact
-            elif series_ok and z[i + j] - z[i] <= SERIES_SPAN:
+            if zl[i + j] == zl[i]:
+                new[i] = ladders[zl[i]][j] * inv_fact
+            elif series_ok and zl[i + j] - zl[i] <= SERIES_SPAN:
                 new[i] = _dd_series(f, z[i : i + j + 1])
             else:
-                new[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
+                new[i] = (col[i + 1] - col[i]) / (zl[i + j] - zl[i])
         col = new
     return float(col[0])
 
@@ -365,7 +379,10 @@ class MultisetDivDiff:
         self._cache: dict[tuple[int, ...], float] = {}
 
     def value(self, idx: Sequence[int]) -> float:
-        key = tuple(sorted(self.cluster_of[i] for i in idx))
+        return self._evaluate(tuple(sorted(self.cluster_of[i] for i in idx)))
+
+    def _evaluate(self, key: tuple[int, ...]) -> float:
+        """Divided difference over the sorted cluster-id multiset ``key``."""
         hit = self._cache.get(key)
         if hit is None:
             nodes = NodeList(tuple(self.rep[list(key)]), merge_tol=0.0)
@@ -375,10 +392,48 @@ class MultisetDivDiff:
 
     def tensor(self, slots: int) -> np.ndarray:
         """Dense array T[i_0...i_{slots-1}] of divided-difference values."""
+        return self._scatter(slots, doubled=False)
+
+    def doubled_tensor(self, slots: int) -> np.ndarray:
+        """Dense array T[i_0...i_{slots-1}] = value((i_0, ..., i_{slots-1},
+        i_{slots-1})), with the last slot's node repeated."""
+        return self._scatter(slots, doubled=True)
+
+    def _scatter(self, slots: int, doubled: bool) -> np.ndarray:
+        """Evaluate each multiset of cluster ids that occurs once, then
+        scatter the values over the index grid in bulk.
+
+        The multisets are enumerated in lexicographic order, so their
+        base-K codes (K clusters) ascend; a grid row's cluster ids are
+        sorted, encoded and located by searchsorted.  The grid is built one
+        leading index at a time, so the transient index arrays hold
+        dim^(slots-1) rows, not dim^slots.
+        """
+        k = len(self.rep)
+        keys = list(combinations_with_replacement(range(k), slots))
+        if doubled:
+            keys = sorted({tuple(sorted(key + (x,))) for key in keys for x in set(key)})
+        size = slots + doubled
+        values = np.array([self._evaluate(key) for key in keys])
+        codes = np.array(keys, dtype=np.int64) @ (k ** np.arange(size - 1, -1, -1, dtype=np.int64))
+
         dim = len(self.cluster_of)
+        ids = self.cluster_of.astype(np.min_scalar_type(k))
+        # trailing slots' cluster ids; column 0 is the leading slot's
+        grid = np.empty((dim,) * (slots - 1) + (size,), dtype=ids.dtype)
+        for axis in range(slots - 1):
+            grid[..., axis + 1] = ids.reshape((dim,) + (1,) * (slots - 2 - axis))
         out = np.empty((dim,) * slots)
-        for idx in np.ndindex(out.shape):
-            out[idx] = self.value(idx)
+        for lead in range(dim):
+            grid[..., 0] = ids[lead]
+            if doubled:
+                grid[..., slots] = grid[..., slots - 1]
+            rows = np.sort(grid.reshape(-1, size), axis=1)
+            code = rows[:, 0].astype(np.int64)
+            for col in range(1, size):
+                code *= k
+                code += rows[:, col]
+            out[lead] = values[np.searchsorted(codes, code)].reshape(out.shape[1:])
         return out
 
 

@@ -13,8 +13,9 @@ g differentiates atomwise to (-t)^k exp(-t u).
 
 ``SmoothFunction`` is the common carrier type: evaluation, derivatives up
 to ``max_order`` (None = unbounded), an optional complex-argument
-extension for contour integration, an optional square companion g, and
-an optional back-reference to the inducing measure.
+extension for contour integration, an optional square companion g, an
+optional back-reference to the inducing measure, and an optional ladder
+that returns every derivative up to a given order in one pass.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ class SmoothFunction:
     numpy arrays alike.  ``max_order=None`` means every order is exact.
     ``complex_fn(k, z)``, when present, evaluates the k-th derivative at
     complex arguments; contour-based routines require it.  The invariant
-    deriv(0, x) == eval(x) is enforced by dispatch.
+    deriv(0, x) == eval(x) is enforced by dispatch.  ``ladder_fn(k, x)``,
+    when present, returns [deriv(0, x), ..., deriv(k, x)] at a real scalar
+    x, bit for bit, at the cost of one evaluation.
     """
 
     eval_fn: Callable
@@ -87,6 +90,7 @@ class SmoothFunction:
     square_companion: "SmoothFunction | None" = None
     complex_fn: Callable | None = None
     measure: DiscreteMeasure | None = None
+    ladder_fn: Callable | None = None
 
     def __call__(self, x):
         return self.eval_fn(x)
@@ -104,6 +108,15 @@ class SmoothFunction:
         if k == 0:
             return self.eval_fn(x)
         return self.deriv_fn(k, x)
+
+    def deriv_ladder(self, k_max: int, x: float) -> list[float]:
+        """[f(x), f'(x), ..., f^(k_max)(x)] at a real scalar x."""
+        if k_max < 0:
+            raise ValueError(f"derivative order must be >= 0, got {k_max}")
+        self.require_order(k_max)
+        if self.ladder_fn is not None:
+            return self.ladder_fn(k_max, x)
+        return [float(self.deriv(k, x)) for k in range(k_max + 1)]
 
     def deriv_complex(self, k: int, z):
         if self.complex_fn is None:
@@ -125,11 +138,15 @@ class SmoothFunction:
         complex_fn = None
         if parent.complex_fn is not None:
             complex_fn = lambda k, z: parent.complex_fn(k + 1, z)  # noqa: E731
+        ladder_fn = None
+        if parent.ladder_fn is not None:
+            ladder_fn = lambda k, x: parent.ladder_fn(k + 1, x)[1:]  # noqa: E731
         return SmoothFunction(
             eval_fn=lambda x: parent.deriv_fn(1, x),
             deriv_fn=lambda k, x: parent.deriv_fn(k + 1, x),
             max_order=new_max,
             complex_fn=complex_fn,
+            ladder_fn=ladder_fn,
         )
 
 
@@ -157,6 +174,25 @@ def _mixture_deriv(atoms, k: int, x):
         else:
             total = total + w * ((-rt) ** k) * _hermite(k, rt * x) * core
     return total.item() if scalar else total
+
+
+def _mixture_ladder(atoms, k_max: int, x: float) -> list[float]:
+    """Orders 0..k_max of the mixture at a real scalar x, one Hermite
+    recurrence per atom.  Each order repeats the floating-point operations
+    of _mixture_deriv in the same order, so every entry is bit-identical.
+    """
+    x = float(x)
+    out = [0.0] * (k_max + 1)
+    for t, w in atoms:
+        rt = math.sqrt(t)
+        core = float(np.exp(-t * x * x))
+        two_u = 2.0 * (rt * x)
+        h_prev, h = 1.0, two_u
+        out[0] += w * core
+        for k in range(1, k_max + 1):
+            out[k] += w * ((-rt) ** k) * h * core
+            h, h_prev = two_u * h - 2.0 * k * h_prev, h
+    return out
 
 
 def _companion_deriv(atoms, k: int, u):
@@ -187,6 +223,9 @@ def make_gaussian_mixture(measure: DiscreteMeasure | Iterable) -> SmoothFunction
     def f_complex(k, z):
         return _mixture_deriv(atoms, k, np.asarray(z, dtype=complex))
 
+    def f_ladder(k_max, x):
+        return _mixture_ladder(atoms, k_max, x)
+
     def g_eval(u):
         return _companion_deriv(atoms, 0, u)
 
@@ -206,6 +245,7 @@ def make_gaussian_mixture(measure: DiscreteMeasure | Iterable) -> SmoothFunction
         square_companion=companion,
         complex_fn=f_complex,
         measure=mu,
+        ladder_fn=f_ladder,
     )
 
 
@@ -218,11 +258,16 @@ def exp_decay(rate: float) -> SmoothFunction:
     def d(k, u):
         return ((-rate) ** k) * np.exp(-rate * np.asarray(u))
 
+    def ladder(k_max, u):
+        core = np.exp(-rate * np.asarray(u))
+        return [float(core)] + [float(((-rate) ** k) * core) for k in range(1, k_max + 1)]
+
     return SmoothFunction(
         eval_fn=lambda u: np.exp(-rate * np.asarray(u)),
         deriv_fn=d,
         max_order=None,
         complex_fn=lambda k, z: ((-rate) ** k) * np.exp(-rate * np.asarray(z, dtype=complex)),
+        ladder_fn=ladder,
     )
 
 

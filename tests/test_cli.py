@@ -58,6 +58,20 @@ class TestConfigErrors:
         path = write_cfg(tmp_path / "c.json", cfg)
         assert main(["expand", "--config", path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("run", "n_max", "three"),
+        ("spectrum", "dim", 0),
+        ("run", "budget", -5),
+        ("run", "fd_step", 0.0),
+    ])
+    def test_bad_number_exits_2(self, tmp_path, capsys, section, key, value):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg.setdefault(section, {})[key] = value
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["expand", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{section}.{key}" in err
+
     def test_unknown_check_name(self, tmp_path):
         cfg = dict(BASE_CFG, verify={"checks": ["nonsense"], "seed": 1})
         path = write_cfg(tmp_path / "c.json", cfg)

@@ -109,6 +109,16 @@ class TestRecursive:
                            radius=1.8, points=1024)
             assert abs(r - c) <= 1e-10 * max(abs(c), 1e-12)
 
+    def test_steep_series_outruns_its_first_ladder(self):
+        # t = 40 needs more series terms than the first ladder holds
+        f = make_gaussian_mixture([(40.0, 1.0)])
+        for size in (3, 5):
+            nodes = 0.2 + 0.1 * np.arange(size)
+            r = dd_recursive(f, nodes)
+            c = dd_contour(f, nodes, center=float(np.mean(nodes)),
+                           radius=0.6, points=2048)
+            assert abs(r - c) <= 1e-10 * max(abs(c), 1e-12)
+
     def test_mean_value_bracketing(self, mix):
         # f[x0..xn] = f^(n)(xi)/n! for some xi inside the hull
         nodes = [-0.9, 0.1, 0.8]
@@ -337,3 +347,54 @@ class TestMultisetDivDiff:
         for i in range(2):
             for j in range(2):
                 assert tensor[i, j] == table.value((i, j))
+
+    @staticmethod
+    def looped(table, slots, doubled=False):
+        """The per-tuple fill the bulk scatter replaces."""
+        dim = len(table.cluster_of)
+        out = np.empty((dim,) * slots)
+        for idx in np.ndindex(out.shape):
+            out[idx] = table.value(idx + (idx[-1],) if doubled else idx)
+        return out
+
+    SPECTRA = {
+        # two pairs that merge at the default tolerance, one exact repeat
+        "merged": np.array([-1.2, -1.2 + 3e-9, 0.1, 0.1, 0.45, 0.9 - 4e-9, 0.9]),
+        # Dirac +/- pairs collide once squared
+        "dirac-squares": np.array([-1.5, -0.5, 0.5, 1.5]) ** 2,
+        "distinct": np.array([-1.7, -0.6, 0.05, 0.3, 1.9]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_bulk_tensor_equals_tuple_fill(self, mix, name):
+        values = self.SPECTRA[name]
+        for slots in range(1, 6):
+            bulk = MultisetDivDiff(mix, values).tensor(slots)
+            ref = self.looped(MultisetDivDiff(mix, values), slots)
+            assert np.array_equal(bulk, ref), (name, slots)
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_doubled_tensor_equals_doubled_loop(self, mix, name):
+        values = self.SPECTRA[name]
+        for slots in range(1, 5):
+            bulk = MultisetDivDiff(mix, values).doubled_tensor(slots)
+            ref = self.looped(MultisetDivDiff(mix, values), slots, doubled=True)
+            assert np.array_equal(bulk, ref), (name, slots)
+
+    def test_each_multiset_evaluated_once(self, mix, monkeypatch):
+        import specact.divdiff as divdiff_module
+
+        calls = []
+        real = divdiff_module.dd_recursive
+
+        def counting(f, nodes):
+            calls.append(nodes)
+            return real(f, nodes)
+
+        monkeypatch.setattr(divdiff_module, "dd_recursive", counting)
+        table = MultisetDivDiff(mix, self.SPECTRA["merged"])
+        assert len(table.rep) == 4
+        table.tensor(4)
+        assert len(calls) == math.comb(4 + 4 - 1, 4)
+        table.tensor(4)
+        assert len(calls) == math.comb(4 + 4 - 1, 4)

@@ -109,6 +109,44 @@ class TestDerivativeShift:
         assert np.allclose(mix.deriv(0, xs), mix(xs), rtol=0, atol=0)
 
 
+class TestDerivLadder:
+    """The ladder must equal the per-order derivatives bit for bit."""
+
+    @staticmethod
+    def assert_exact(f, k_max, xs):
+        for x in xs:
+            ladder = f.deriv_ladder(k_max, x)
+            assert len(ladder) == k_max + 1
+            for j in range(k_max + 1):
+                assert ladder[j] == float(f.deriv(j, x)), (x, j)
+
+    def test_mixture_and_its_derivatives(self):
+        rng = make_rng(7)
+        xs = rng.uniform(-3.0, 3.0, size=25)
+        f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6), (3.7, -0.2)])
+        self.assert_exact(f, 40, xs)
+        self.assert_exact(f.derivative(), 40, xs)
+        self.assert_exact(f.derivative().derivative(), 40, xs)
+
+    def test_exp_decay(self):
+        xs = make_rng(8).uniform(-1.0, 9.0, size=25)
+        self.assert_exact(exp_decay(0.7), 30, xs)
+        self.assert_exact(exp_decay(40.0), 30, xs)
+
+    def test_polynomial_fallback(self):
+        p = polynomial_function([1.0, -0.5, 0.25, 2.0, -1.5])
+        assert p.ladder_fn is None
+        self.assert_exact(p, 7, [-1.3, 0.0, 0.4, 2.2])
+
+    def test_order_checks(self, mix):
+        assert mix.deriv_ladder(0, 0.3) == [mix(0.3)]
+        with pytest.raises(ValueError):
+            mix.deriv_ladder(-1, 0.3)
+        f = SmoothFunction(eval_fn=np.exp, deriv_fn=lambda k, x: np.exp(x), max_order=2)
+        with pytest.raises(DerivativeOrderError):
+            f.deriv_ladder(3, 0.0)
+
+
 class TestCallerTable:
     def test_max_order_enforced(self):
         f = SmoothFunction(

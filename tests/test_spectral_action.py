@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from specact import (
     CircleContour,
     EpsilonMultiIndex,
+    MultisetDivDiff,
     Spectrum,
     action_exact,
     commutator_with_d,
@@ -116,13 +117,17 @@ class TestTaylorTerm:
         with pytest.raises(BudgetExceededError):
             taylor_term(5, spec, a, mix, budget=10_000_000)
 
-    def test_prune_drops_small_entries(self, spec4, mix, rng):
-        a = random_hermitian(4, rng, norm=1.0)
-        a[0, 1] = a[1, 0] = 1e-14
-        pruned = taylor_term(2, spec4, a, mix, prune_threshold=1e-10)
-        b = a.copy()
-        b[0, 1] = b[1, 0] = 0.0
-        assert pruned == pytest.approx(taylor_term(2, spec4, b, mix), rel=1e-13)
+    @pytest.mark.parametrize("route", ["dd", "theorem", "bracket"])
+    def test_expand_checks_budget_before_any_work(self, mix, route, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a divided-difference table was built")
+
+        monkeypatch.setattr(MultisetDivDiff, "__init__", refuse)
+        spec = linear_spectrum(6)
+        a = np.eye(6)
+        # 6^3 = 216 tuples at order 3 (bracket: 6^4), over a budget of 100
+        with pytest.raises(BudgetExceededError):
+            expand(spec, a, mix, 3, route=route, budget=100)
 
     def test_real_output_for_hermitian_input(self, spec4, rng):
         mix = make_gaussian_mixture([(1.0, 1.0)])
