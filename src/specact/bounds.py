@@ -27,8 +27,9 @@ import numpy as np
 
 from .operator_model import (
     Spectrum,
-    _check_ops,
     _cyclic_heat_traces,
+    _square_complex,
+    _trace_of,
     heat_trace,
     operator_norm,
     require_hermitian,
@@ -120,7 +121,7 @@ def holder_estimate_check(
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if samples < 2:
         raise ValueError(f"need at least two samples, got {samples}")
-    mats = _check_ops(ops, spec.dim)
+    mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
     if len(alphas) != n + 1:
         raise ValueError(f"need {n + 1} exponents, got {len(alphas)}")
@@ -129,9 +130,7 @@ def holder_estimate_check(
         raise ValueError("exponents must be 0 or 1")
     k = sum(alphas)
 
-    pert = mats[0] if perturbation is None else require_hermitian(perturbation)
-    if pert.shape[0] != spec.dim:
-        raise ValueError("perturbation dimension does not match the spectrum")
+    pert = mats[0] if perturbation is None else require_hermitian(perturbation, spec.dim)
     mu, u = np.linalg.eigh(np.diag(spec.eigenvalues) + pert)
     lam = spec.eigenvalues
 
@@ -176,11 +175,9 @@ def getzler_szenes_check(spec: Spectrum, v, t: float, eps: float) -> BoundReport
         raise ValueError(f"heat time must be positive, got {t}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    mat = require_hermitian(v)
-    if mat.shape[0] != spec.dim:
-        raise ValueError("perturbation dimension does not match the spectrum")
-    mu = np.linalg.eigvalsh(np.diag(spec.eigenvalues) + mat)
-    lhs = float(np.sum(np.exp(-(1.0 - eps / 2.0) * t * mu * mu)))
+    mat = require_hermitian(v, spec.dim)
+    lhs = _trace_of(lambda mu: np.exp(-(1.0 - eps / 2.0) * t * mu * mu),
+                    np.diag(spec.eigenvalues) + mat)
     vnorm = operator_norm(mat)
     rhs = math.exp((1.0 + 2.0 / eps) * t * vnorm * vnorm) * heat_trace(spec, (1.0 - eps) * t)
     return BoundReport(lhs=lhs, rhs=rhs)

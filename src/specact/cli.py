@@ -52,6 +52,7 @@ from .spectral_action import (
     epsilon_enumerate,
     epsilon_parent_move_count,
     expand,
+    fd_noise_floor,
     gateaux_fd,
     taylor_term,
     taylor_term_bracket_form,
@@ -92,33 +93,39 @@ def _require(cfg: dict, key: str, where: str):
 
 
 def _number(section: dict, key: str, where: str, kind: type = float,
-            default=None, positive: bool = False):
+            default=None, positive: bool = False, least: int = 0):
     """section[key] as a finite int or float; ``default`` when the key is
-    absent (required when None).  Integers are never negative; ``positive``
-    also rules out zero.  Anything else is a ConfigError."""
+    absent (required when None).  Integers are at least ``least``;
+    ``positive`` also rules out zero.  Anything else is a ConfigError."""
     value = _require(section, key, where) if default is None else section.get(key, default)
     try:
         if isinstance(value, bool):
             raise TypeError
         number = kind(value)
         ok = (math.isfinite(number) and number == float(value)
-              and (number > 0 if positive else kind is float or number >= 0))
+              and (number > 0 if positive else kind is float or number >= least))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        sign = "positive" if positive else "nonnegative" if kind is int else "finite"
         noun = "integer" if kind is int else "number"
-        raise ConfigError(f"{where}.{key}: expected a {sign} {noun}, got {value!r}")
+        want = (f"a positive {noun}" if positive else "a finite number" if kind is float
+                else f"an integer >= {least}")
+        raise ConfigError(f"{where}.{key}: expected {want}, got {value!r}")
     return number
 
 
+def _numbers(section: dict, key: str, where: str, kind: type = float,
+             default=None, positive: bool = False) -> list:
+    """section[key] as a list whose every entry passes _number."""
+    values = _require(section, key, where) if default is None else section.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where}.{key}: expected a list, got {values!r}")
+    entries = dict(enumerate(values))
+    return [_number(entries, i, f"{where}.{key}", kind, positive=positive) for i in entries]
+
+
 def _seed_of(section: dict, where: str, override: int | None) -> int:
-    if override is not None:
-        return override
-    seed = _require(section, "seed", where)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"{where}: seed must be a non-negative integer")
-    return seed
+    return _number(section, "seed", where, int) if override is None else override
 
 
 def _as_complex_matrix(rows, where: str) -> np.ndarray:
@@ -143,8 +150,11 @@ def build_spectrum(section: dict, override: int | None) -> Spectrum:
     if kind == "dirac-circle":
         return dirac_circle_spectrum(_number(section, "dim", "spectrum", int, positive=True))
     if kind == "explicit":
-        values = _require(section, "values", "spectrum")
-        return Spectrum.from_values(np.asarray(values, dtype=float))
+        values = _numbers(section, "values", "spectrum")
+        try:
+            return Spectrum.from_values(values)
+        except ValueError as exc:
+            raise ConfigError(f"spectrum.values: {exc}") from exc
     if kind == "random-uniform":
         dim = _number(section, "dim", "spectrum", int, positive=True)
         lam_max = _number(section, "lam_max", "spectrum", positive=True)
@@ -173,13 +183,17 @@ def build_perturbation(section: dict, spec: Spectrum, override: int | None) -> n
             b = _as_complex_matrix(_require(term, "b", f"perturbation.terms[{k}]"),
                                    f"perturbation.terms[{k}].b")
             pairs.append((a, b))
-        mat = one_form(spec, pairs)
-        return require_hermitian(mat)
-    if kind == "explicit":
+    elif kind == "explicit":
         mat = _as_complex_matrix(_require(section, "matrix", "perturbation"),
                                  "perturbation.matrix")
-        return require_hermitian(mat)
-    raise ConfigError(f"perturbation: unknown kind '{kind}'")
+    else:
+        raise ConfigError(f"perturbation: unknown kind '{kind}'")
+    try:
+        if kind == "one-form":
+            mat = one_form(spec, pairs)
+        return require_hermitian(mat, spec.dim)
+    except ValueError as exc:
+        raise ConfigError(f"perturbation: {exc}") from exc
 
 
 def build_function(section: dict):
@@ -242,13 +256,19 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
     if route not in ROUTES:
         raise ConfigError(f"run.route: unknown route '{route}'")
     budget = _number(run, "budget", "run", int, default=DEFAULT_TUPLE_BUDGET, positive=True)
-    scaling = tuple(run.get("scaling_factors", (1.0, 0.5, 0.25)))
+    scaling = _numbers(run, "scaling_factors", "run", default=(1.0, 0.5, 0.25), positive=True)
     contour = None
     if "contour" in run:
         sec = run["contour"]
-        contour = CircleContour(center=float(_require(sec, "center", "run.contour")),
-                                radius=float(_require(sec, "radius", "run.contour")),
-                                points=int(sec.get("points", 512)))
+        contour = CircleContour(center=_number(sec, "center", "run.contour"),
+                                radius=_number(sec, "radius", "run.contour", positive=True),
+                                points=_number(sec, "points", "run.contour", int,
+                                               default=512, least=2))
+        if route == "contour":
+            try:
+                contour.require_inside(spec.eigenvalues)
+            except ValueError as exc:
+                raise ConfigError(f"run.contour: {exc}") from exc
 
     fd_step = _number(run, "fd_step", "run", default=0.05, positive=True)
 
@@ -262,7 +282,7 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
     _atomic_write(os.path.join(out_dir, "expand.txt"), report.text_summary() + "\n")
 
     if "remainder_tol" in run:
-        tol = float(run["remainder_tol"])
+        tol = _number(run, "remainder_tol", "run")
         if report.remainders[n_max] > tol * abs(report.exact):
             print(f"tolerance failure: remainder {report.remainders[n_max]:.3e} "
                   f"> {tol:g} * |exact|", file=sys.stderr)
@@ -289,17 +309,20 @@ def _random_nodes(rng: np.random.Generator, max_size: int) -> np.ndarray:
 def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
     section = cfg.get("verify", {})
     checks = section.get("checks", list(DEFAULT_CHECKS))
+    if not isinstance(checks, list):
+        raise ConfigError(f"verify.checks: expected a list, got {checks!r}")
     for name in checks:
         if name not in DEFAULT_CHECKS:
             raise ConfigError(f"verify.checks: unknown check '{name}'")
-    instances = int(section.get("instances", 50))
-    dim_max = int(section.get("dim_max", 4))
-    n_max = int(section.get("n_max", 3))
-    mc_samples = int(section.get("mc_samples", 100_000))
-    tol = float(section.get("tol", 1e-9))
-    contour_tol = float(section.get("contour_tol", 1e-8))
-    route_tol = float(section.get("route_tol", 1e-8))
-    fd_tol = float(section.get("fd_tol", 1e-4))
+    instances = _number(section, "instances", "verify", int, default=50, positive=True)
+    dim_max = _number(section, "dim_max", "verify", int, default=4, least=2)
+    n_max = _number(section, "n_max", "verify", int, default=3, positive=True)
+    mc_samples = _number(section, "mc_samples", "verify", int, default=100_000, positive=True)
+    tol = _number(section, "tol", "verify", default=1e-9, positive=True)
+    contour_tol = _number(section, "contour_tol", "verify", default=1e-8, positive=True)
+    route_tol = _number(section, "route_tol", "verify", default=1e-8, positive=True)
+    fd_tol = _number(section, "fd_tol", "verify", default=1e-4, positive=True)
+    epsilon_n_max = _number(section, "epsilon_n_max", "verify", int, default=10)
     seed = _seed_of(section, "verify", override) if checks else 0
 
     rows: list[list] = []
@@ -368,6 +391,7 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
             f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
             worst = dict.fromkeys(
                 ("theorem-over-n", "bracket", "contour", "finite-difference"), 0.0)
+            fd_step = 0.05
             for _ in range(instances):
                 dim = int(rng.integers(2, dim_max + 1))
                 order = int(rng.integers(1, n_max + 1))
@@ -378,16 +402,14 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
                 th = taylor_term_theorem_form(order, spec, a, f) / order
                 br = taylor_term_bracket_form(order, spec, a, f.measure)
                 co = taylor_term_contour(order, spec, a, f)
-                fd = gateaux_fd(order, spec, a, f)
+                fd = gateaux_fd(order, spec, a, f, h=fd_step)
                 worst["theorem-over-n"] = max(worst["theorem-over-n"],
                                               abs(th - ref) / scale)
                 worst["bracket"] = max(worst["bracket"], abs(br - ref) / scale)
                 worst["contour"] = max(worst["contour"], abs(co - ref) / scale)
-                # eigensolver noise amplified through the difference stencil
-                # bounds what the fd oracle can resolve; terms below that
-                # floor (over fd_tol) are compared in absolute terms
-                fd_floor = (10.0 * 2.0**order * float(np.finfo(float).eps)
-                            * dim / ((0.05 / 2.0) ** order * math.factorial(order)))
+                # terms below what the fd oracle can resolve (over fd_tol)
+                # are compared in absolute terms
+                fd_floor = fd_noise_floor(order, fd_step, dim)
                 worst["finite-difference"] = max(
                     worst["finite-difference"],
                     abs(fd - ref) / max(scale, fd_floor / fd_tol))
@@ -396,13 +418,12 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
             emit(name, "dd-vs-finite-difference", instances,
                  worst["finite-difference"], fd_tol)
         elif name == "epsilon-combinatorics":
-            top = int(section.get("epsilon_n_max", 10))
             worst = 0
-            for order in range(top):
+            for order in range(epsilon_n_max):
                 for child in epsilon_enumerate(order + 1):
                     count = epsilon_parent_move_count(child)
                     worst = max(worst, abs(count - (order + 1)))
-            emit(name, "parent-move-count", top, float(worst), 0.0)
+            emit(name, "parent-move-count", epsilon_n_max, float(worst), 0.0)
 
     write_csv(os.path.join(out_dir, "verify.csv"),
               ["check", "detail", "instances", "error", "tol", "passed"], rows)
@@ -418,10 +439,10 @@ def cmd_bounds(cfg: dict, out_dir: str, override: int | None) -> int:
 
     if "simplex" in section:
         sub = section["simplex"]
-        samples = int(sub.get("samples", 100_000))
+        samples = _number(sub, "samples", "bounds.simplex", int, default=100_000, least=2)
         seed = _seed_of(sub, "bounds.simplex", override)
-        m_max = int(sub.get("m_max", 8))
-        k_max = int(sub.get("k_max", 4))
+        m_max = _number(sub, "m_max", "bounds.simplex", int, default=8)
+        k_max = _number(sub, "k_max", "bounds.simplex", int, default=4)
         for m in range(1, m_max + 1):
             for k in range(0, min(m + 1, k_max) + 1):
                 rep = simplex_bound_check(m, k, samples=samples, seed=seed + 97 * m + k)
@@ -430,13 +451,15 @@ def cmd_bounds(cfg: dict, out_dir: str, override: int | None) -> int:
 
     if "holder" in section:
         sub = section["holder"]
-        samples = int(sub.get("samples", 20_000))
-        instances = int(sub.get("instances", 20))
+        samples = _number(sub, "samples", "bounds.holder", int, default=20_000, least=2)
+        instances = _number(sub, "instances", "bounds.holder", int, default=20, positive=True)
+        dim_max = _number(sub, "dim_max", "bounds.holder", int, default=4, least=2)
+        n_max = _number(sub, "n_max", "bounds.holder", int, default=3, positive=True)
         seed = _seed_of(sub, "bounds.holder", override)
         rng = make_rng(seed, stream=11)
         for k in range(instances):
-            dim = int(rng.integers(2, int(sub.get("dim_max", 4)) + 1))
-            order = int(rng.integers(1, int(sub.get("n_max", 3)) + 1))
+            dim = int(rng.integers(2, dim_max + 1))
+            order = int(rng.integers(1, n_max + 1))
             spec = random_spectrum(dim, 2.0, rng)
             ops = [random_hermitian(dim, rng, norm=1.0) for _ in range(order + 1)]
             alphas = tuple(int(b) for b in rng.integers(0, 2, size=order + 1))
@@ -450,11 +473,13 @@ def cmd_bounds(cfg: dict, out_dir: str, override: int | None) -> int:
 
     if "getzler-szenes" in section:
         sub = section["getzler-szenes"]
-        instances = int(sub.get("instances", 100))
+        instances = _number(sub, "instances", "bounds.getzler-szenes", int, default=100,
+                            positive=True)
+        dim_max = _number(sub, "dim_max", "bounds.getzler-szenes", int, default=8, positive=True)
         seed = _seed_of(sub, "bounds.getzler-szenes", override)
         rng = make_rng(seed, stream=12)
         for _ in range(instances):
-            dim = int(rng.integers(1, int(sub.get("dim_max", 8)) + 1))
+            dim = int(rng.integers(1, dim_max + 1))
             spec = random_spectrum(dim, 2.0, rng)
             v = random_hermitian(dim, rng, norm=float(rng.uniform(0.1, 2.0)))
             t = float(rng.uniform(0.1, 3.0))
@@ -473,8 +498,8 @@ def cmd_bounds(cfg: dict, out_dir: str, override: int | None) -> int:
 
 def cmd_bench(cfg: dict, out_dir: str, override: int | None) -> int:
     section = cfg.get("bench", {})
-    dims = [int(x) for x in section.get("dims", (4, 8))]
-    orders = [int(x) for x in section.get("orders", (1, 2, 3, 4))]
+    dims = _numbers(section, "dims", "bench", int, default=(4, 8), positive=True)
+    orders = _numbers(section, "orders", "bench", int, default=(1, 2, 3, 4))
     seed = _seed_of(section, "bench", override) if section else 0
     rng = make_rng(seed, stream=21)
     f = make_gaussian_mixture([(1.0, 1.0)])
@@ -554,7 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "seed_override", None) is not None and args.seed_override < 0:
+        parser.error("--seed-override must be a nonnegative integer")
     try:
         if args.command == "divdiff":
             return cmd_divdiff(args)

@@ -12,7 +12,8 @@ Independent evaluation routes implemented here:
   * dd_hermite_mc  -- Monte Carlo over the simplex of the Hermite-Genocchi
     integral representation f[x_0..x_n] = int_{Delta_n} f^{(n)}(s.x) d^n s
   * dd_contour     -- trapezoid discretization of the Cauchy formula
-    (1/2 pi i) oint f(z) / prod_i (z - x_i) dz on a circle around the nodes
+    (1/2 pi i) oint f(z) / prod_i (z - x_i) dz on a CircleContour around
+    the nodes (the resolvent route of the expansion uses the same circle)
   * dd_chain_square / dd_chain_generic -- composite-function chain rules
     summing over index chains 0 = i_0 < ... < i_k = n
   * dd_derivative_sum -- sum_i f[x_0,..,x_i,x_i,..,x_n] = f'[x_0,..,x_n]
@@ -31,6 +32,7 @@ from .functions import SmoothFunction
 from .rng import make_rng, simplex_uniform
 
 __all__ = [
+    "CircleContour",
     "NodeList",
     "MultisetDivDiff",
     "as_nodes",
@@ -46,6 +48,17 @@ __all__ = [
 
 def default_merge_tol(nodes) -> float:
     return 1e-8 * (1.0 + float(np.max(np.abs(nodes))))
+
+
+def _merge_runs(xs: Sequence[float], tol: float) -> list[list[float]]:
+    """Split ascending values into maximal runs with every gap <= ``tol``."""
+    runs: list[list[float]] = []
+    for x in xs:
+        if runs and x - runs[-1][-1] <= tol:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    return runs
 
 
 @dataclass(frozen=True)
@@ -71,7 +84,7 @@ class NodeList:
         tol = self.merge_tol
         if tol is None:
             tol = default_merge_tol(nodes)
-        elif tol < 0.0:
+        elif not tol >= 0.0:
             raise ValueError(f"merge tolerance must be nonnegative, got {tol}")
         object.__setattr__(self, "merge_tol", float(tol))
 
@@ -84,15 +97,8 @@ class NodeList:
 
     def clusters(self) -> list[tuple[float, int]]:
         """Sorted (representative, multiplicity) pairs after merging."""
-        xs = sorted(self.nodes)
-        out: list[tuple[float, int]] = []
-        start = 0
-        for i in range(1, len(xs) + 1):
-            if i == len(xs) or xs[i] - xs[i - 1] > self.merge_tol:
-                block = xs[start:i]
-                out.append((sum(block) / len(block), len(block)))
-                start = i
-        return out
+        runs = _merge_runs(sorted(self.nodes), self.merge_tol)
+        return [(sum(run) / len(run), len(run)) for run in runs]
 
     def expanded(self) -> np.ndarray:
         """Sorted node array with each cluster representative repeated."""
@@ -108,14 +114,8 @@ class NodeList:
     @property
     def max_merge_shift(self) -> float:
         """Largest distance any node moved to its cluster representative."""
-        shift = 0.0
-        xs = sorted(self.nodes)
-        pos = 0
-        for value, mult in self.clusters():
-            for x in xs[pos : pos + mult]:
-                shift = max(shift, abs(x - value))
-            pos += mult
-        return shift
+        runs = _merge_runs(sorted(self.nodes), self.merge_tol)
+        return max(abs(x - sum(run) / len(run)) for run in runs for x in run)
 
 
 def as_nodes(nodes: NodeList | Sequence[float]) -> NodeList:
@@ -241,6 +241,39 @@ def dd_hermite_mc(
     return estimate, stderr
 
 
+@dataclass(frozen=True)
+class CircleContour:
+    """Circle |z - center| = radius sampled at equispaced points."""
+
+    center: float
+    radius: float
+    points: int = 512
+
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
+        if self.points < 2:
+            raise ValueError(f"need at least 2 points, got {self.points}")
+
+    @classmethod
+    def enclosing(cls, spec, margin: float = 1.0, points: int = 512) -> "CircleContour":
+        """Circle around a Spectrum's eigenvalues, ``margin`` past the ends."""
+        lam = spec.eigenvalues
+        center = 0.5 * float(lam[0] + lam[-1])
+        radius = 0.5 * float(lam[-1] - lam[0]) + margin
+        return cls(center=center, radius=radius, points=points)
+
+    def nodes(self) -> np.ndarray:
+        theta = 2.0 * np.pi * np.arange(self.points) / self.points
+        return self.center + self.radius * np.exp(1j * theta)
+
+    def require_inside(self, xs) -> None:
+        """Raise unless every real point of ``xs`` lies strictly inside."""
+        dist = float(np.max(np.abs(np.asarray(xs) - self.center)))
+        if not dist < self.radius:
+            raise ValueError(f"a node {dist} from center is not inside radius {self.radius}")
+
+
 def dd_contour(
     f: SmoothFunction,
     nodes: NodeList | Sequence[float],
@@ -256,19 +289,10 @@ def dd_contour(
     must lie strictly inside the circle.  The error decays geometrically
     in ``points`` for functions analytic in a neighbourhood of the disc.
     """
-    nl = as_nodes(nodes)
-    xs = np.asarray(nl.nodes)
-    if points < 2:
-        raise ValueError(f"need at least 2 contour points, got {points}")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    dist = np.max(np.abs(xs - center))
-    if dist >= radius:
-        raise ValueError(
-            f"node at distance {dist} from center lies on or outside radius {radius}"
-        )
-    theta = 2.0 * np.pi * np.arange(points) / points
-    z = center + radius * np.exp(1j * theta)
+    xs = np.asarray(as_nodes(nodes).nodes)
+    circle = CircleContour(center, radius, points)
+    circle.require_inside(xs)
+    z = circle.nodes()
     denom = np.prod(z[:, None] - xs[None, :], axis=1)
     vals = np.asarray(f.eval_complex(z), dtype=complex)
     return float(np.mean(vals * (z - center) / denom).real)
@@ -365,17 +389,10 @@ class MultisetDivDiff:
             raise ValueError("need a nonempty 1-d value list")
         tol = default_merge_tol(vals) if merge_tol is None else float(merge_tol)
         order = np.argsort(vals, kind="stable")
-        cluster_of = np.empty(vals.size, dtype=int)
-        members: list[list[float]] = []
-        for pos in order:
-            v = vals[pos]
-            if members and v - members[-1][-1] <= tol:
-                members[-1].append(v)
-            else:
-                members.append([v])
-            cluster_of[pos] = len(members) - 1
-        self.cluster_of = cluster_of
-        self.rep = np.array([sum(block) / len(block) for block in members])
+        runs = _merge_runs(vals[order].tolist(), tol)
+        self.cluster_of = np.empty(vals.size, dtype=int)
+        self.cluster_of[order] = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
+        self.rep = np.array([sum(run) / len(run) for run in runs])
         self._cache: dict[tuple[int, ...], float] = {}
 
     def value(self, idx: Sequence[int]) -> float:

@@ -97,27 +97,35 @@ class Spectrum:
         return np.diag(self.eigenvalues).astype(complex)
 
 
-def require_hermitian(a, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a square Hermitian matrix as complex128."""
+# max |A - A*| allowed, relative to max(1, max |A_ij|)
+_HERMITIAN_TOL = 1e-12
+
+
+def _square_complex(a, dim: int | None = None) -> np.ndarray:
+    """Validated finite square complex128 matrix, of size ``dim`` if given."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if dim is not None and m.shape[0] != dim:
+        raise ValueError(f"matrix dimension {m.shape[0]} does not match spectrum's {dim}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix entries must be finite")
+    return m
+
+
+def require_hermitian(a, dim: int | None = None) -> np.ndarray:
+    """Validated Hermitian complex128 matrix, of size ``dim`` if given."""
+    m = _square_complex(a, dim)
     scale = max(1.0, float(np.max(np.abs(m))))
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol * scale:
+    if dev > _HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max |A - A*| = {dev:g}")
     return m
 
 
-def _square_complex(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix entries must be finite")
-    return m
+def _trace_of(f, h) -> float:
+    """tr f(H), summed over the eigenvalues of a Hermitian H the caller built."""
+    return float(np.sum(np.asarray(f(np.linalg.eigvalsh(h)), dtype=float)))
 
 
 def eigen_decompose(h) -> tuple[Spectrum, np.ndarray]:
@@ -146,21 +154,21 @@ def operator_norm(a) -> float:
 
 def commutator_with_d(spec: Spectrum, a) -> np.ndarray:
     """[D, A]_{mn} = (lam_m - lam_n) A_{mn}."""
-    m = _square_complex(a)
+    m = _square_complex(a, spec.dim)
     lam = spec.eigenvalues
     return (lam[:, None] - lam[None, :]) * m
 
 
 def anticommutator_with_d(spec: Spectrum, a) -> np.ndarray:
     """{D, A}_{mn} = (lam_m + lam_n) A_{mn}."""
-    m = _square_complex(a)
+    m = _square_complex(a, spec.dim)
     lam = spec.eigenvalues
     return (lam[:, None] + lam[None, :]) * m
 
 
 def commutator_with_d2(spec: Spectrum, a) -> np.ndarray:
     """[D^2, A]_{mn} = (lam_m^2 - lam_n^2) A_{mn}."""
-    m = _square_complex(a)
+    m = _square_complex(a, spec.dim)
     sq = spec.squares
     return (sq[:, None] - sq[None, :]) * m
 
@@ -190,24 +198,17 @@ def _exp_divdiff(spec: Spectrum, t: float) -> MultisetDivDiff:
 
 
 def _cyclic_contract(mats: Sequence[np.ndarray], weight: np.ndarray) -> complex:
-    """sum over tuples of (M_0)_{i_0 i_1} ... (M_k)_{i_k i_0} W_{i_0...i_k}."""
+    """sum over tuples of (M_0)_{i_0 i_1} ... (M_k)_{i_k i_0} W_{i_0...i_k}.
+
+    One factor is a weighted trace with no contraction order to choose, so
+    it skips the path search."""
     k = len(mats)
     if k + 1 > len(ascii_lowercase):
         raise ValueError("too many factors for the contraction")
     letters = ascii_lowercase[:k]
     subs = [letters[j] + letters[(j + 1) % k] for j in range(k)]
     expr = ",".join(subs + [letters]) + "->"
-    return complex(np.einsum(expr, *mats, weight, optimize=True))
-
-
-def _check_ops(ops: Sequence, dim: int) -> list[np.ndarray]:
-    mats = [_square_complex(a) for a in ops]
-    for m in mats:
-        if m.shape[0] != dim:
-            raise ValueError(
-                f"operator dimension {m.shape[0]} does not match spectrum dimension {dim}"
-            )
-    return mats
+    return complex(np.einsum(expr, *mats, weight, optimize=k > 1))
 
 
 def bracket_dd(
@@ -224,7 +225,7 @@ def bracket_dd(
     """
     if not t > 0.0:
         raise ValueError(f"heat time must be positive, got {t}")
-    mats = _check_ops(ops, spec.dim)
+    mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
     if n < 0:
         raise ValueError("need at least one operator")
@@ -272,7 +273,7 @@ def bracket_mc(
     """
     if not t > 0.0:
         raise ValueError(f"heat time must be positive, got {t}")
-    mats = _check_ops(ops, spec.dim)
+    mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
     if n == 0:
         exact = complex(np.sum(np.diagonal(mats[0]) * np.exp(-t * spec.squares)))
@@ -323,7 +324,7 @@ def bracket_identity_check(
     The [D^2, .] reduction needs order >= 1; for a single operator that
     residual is reported as 0.
     """
-    mats = _check_ops(ops, spec.dim)
+    mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
     base = bracket_dd(mats, spec, t, budget=budget).value
     scale = max(abs(base), 1e-15)
@@ -387,9 +388,7 @@ def duhamel_residual(spec: Spectrum, a, t: float, quad_points: int = 64) -> floa
         raise ValueError(f"heat time must be positive, got {t}")
     if quad_points < 1:
         raise ValueError(f"need at least one quadrature point, got {quad_points}")
-    mat = require_hermitian(a)
-    if mat.shape[0] != spec.dim:
-        raise ValueError("perturbation dimension does not match the spectrum")
+    mat = require_hermitian(a, spec.dim)
     lam = spec.eigenvalues
     d = np.diag(lam).astype(complex)
     pa = d @ mat + mat @ d + mat @ mat
@@ -484,8 +483,5 @@ def one_form(spec: Spectrum, terms: Sequence[tuple]) -> np.ndarray:
         raise ValueError("need at least one (a, b) term")
     total = np.zeros((spec.dim, spec.dim), dtype=complex)
     for a, b in terms:
-        am = _square_complex(a)
-        if am.shape[0] != spec.dim:
-            raise ValueError("one-form coefficient dimension mismatch")
-        total += am @ commutator_with_d(spec, b)
+        total += _square_complex(a, spec.dim) @ commutator_with_d(spec, b)
     return total

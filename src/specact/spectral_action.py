@@ -17,7 +17,8 @@ against one another:
   ..._contour          (1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz
   gateaux_fd           central finite differences of u -> tr f(D + u A)
                        with one Richardson extrapolation (the only route
-                       that never touches divided differences)
+                       that never touches divided differences); its
+                       resolution limit is fd_noise_floor
 
 The tuple sums are evaluated as tensor contractions against cached
 divided-difference tensors; cost grows like N^n and is refused above a
@@ -29,12 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
-from string import ascii_lowercase
 from typing import Sequence
 
 import numpy as np
 
-from .divdiff import MultisetDivDiff, step_bitstrings
+from .divdiff import CircleContour, MultisetDivDiff, step_bitstrings
 from .errors import BudgetExceededError
 from .functions import DiscreteMeasure, SmoothFunction
 from .operator_model import (
@@ -42,6 +42,8 @@ from .operator_model import (
     Spectrum,
     _cyclic_contract,
     _exp_divdiff,
+    _square_complex,
+    _trace_of,
     anticommutator_with_d,
     bracket_dd,  # noqa: F401  still bound here: the benchmark's tracer wraps this binding
     require_hermitian,
@@ -58,6 +60,7 @@ __all__ = [
     "taylor_term_contour",
     "gateaux_fd",
     "gateaux_fd_mixed",
+    "fd_noise_floor",
     "expand",
     "epsilon_enumerate",
     "epsilon_parent_move_count",
@@ -69,20 +72,9 @@ ROUTES = ("dd", "theorem", "bracket", "contour", "fd")
 TUPLE_EXPONENT_SHIFT = {"dd": 0, "theorem": 0, "bracket": 1}
 
 
-def _perturbation(spec: Spectrum, a) -> np.ndarray:
-    mat = require_hermitian(a)
-    if mat.shape[0] != spec.dim:
-        raise ValueError(
-            f"perturbation dimension {mat.shape[0]} does not match spectrum dimension {spec.dim}"
-        )
-    return mat
-
-
 def action_exact(spec: Spectrum, a, f: SmoothFunction) -> float:
     """tr f(D + A) summed over the exact eigenvalues of the perturbed operator."""
-    mat = _perturbation(spec, a)
-    mu = np.linalg.eigvalsh(np.diag(spec.eigenvalues) + mat)
-    return float(np.sum(np.asarray(f(mu), dtype=float)))
+    return _trace_of(f, np.diag(spec.eigenvalues) + require_hermitian(a, spec.dim))
 
 
 def _check_budget(dim: int, exponent: int, budget: int) -> None:
@@ -90,16 +82,6 @@ def _check_budget(dim: int, exponent: int, budget: int) -> None:
         raise BudgetExceededError(
             f"tuple sum needs {dim}^{exponent} = {dim**exponent} terms, over budget {budget}"
         )
-
-
-def _cyclic_weighted_sum(mat: np.ndarray, weight: np.ndarray, n: int) -> complex:
-    """sum over tuples of A_{i_1 i_2} ... A_{i_n i_1} W_{i_1 ... i_n}."""
-    letters = ascii_lowercase[:n]
-    if n == 1:
-        return complex(np.einsum("aa,a->", mat, weight))
-    subs = [letters[j] + letters[(j + 1) % n] for j in range(n)]
-    expr = ",".join(subs + [letters]) + "->"
-    return complex(np.einsum(expr, *([mat] * n), weight, optimize=True))
 
 
 def taylor_term(
@@ -118,13 +100,13 @@ def taylor_term(
     """
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    mat = _perturbation(spec, a)
+    mat = require_hermitian(a, spec.dim)
     if n == 0:
         return float(np.sum(np.asarray(f(spec.eigenvalues), dtype=float)))
     _check_budget(spec.dim, n, budget)
     table = MultisetDivDiff(f.derivative(), spec.eigenvalues)
     weight = table.tensor(n)
-    value = _cyclic_weighted_sum(mat, weight, n) / n
+    value = _cyclic_contract([mat] * n, weight) / n
     return float(value.real)
 
 
@@ -144,10 +126,10 @@ def taylor_term_theorem_form(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    mat = _perturbation(spec, a)
+    mat = require_hermitian(a, spec.dim)
     _check_budget(spec.dim, n, budget)
     weight = MultisetDivDiff(f, spec.eigenvalues).doubled_tensor(n)
-    value = _cyclic_weighted_sum(mat, weight, n) * n
+    value = _cyclic_contract([mat] * n, weight) * n
     return float(value.real)
 
 
@@ -166,7 +148,7 @@ def taylor_term_bracket_form(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    mat = _perturbation(spec, a)
+    mat = require_hermitian(a, spec.dim)
     _check_budget(spec.dim, n + 1, budget)
     anti = anticommutator_with_d(spec, mat)
     sq = mat @ mat
@@ -184,32 +166,6 @@ def taylor_term_bracket_form(
     return float(total.real)
 
 
-@dataclass(frozen=True)
-class CircleContour:
-    """Circle |z - center| = radius sampled at equispaced points."""
-
-    center: float
-    radius: float
-    points: int = 512
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.points < 2:
-            raise ValueError(f"need at least 2 points, got {self.points}")
-
-    @classmethod
-    def enclosing(cls, spec: Spectrum, margin: float = 1.0, points: int = 512) -> "CircleContour":
-        lam = spec.eigenvalues
-        center = 0.5 * float(lam[0] + lam[-1])
-        radius = 0.5 * float(lam[-1] - lam[0]) + margin
-        return cls(center=center, radius=radius, points=points)
-
-    def nodes(self) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(self.points) / self.points
-        return self.center + self.radius * np.exp(1j * theta)
-
-
 def taylor_term_contour(
     n: int,
     spec: Spectrum,
@@ -225,15 +181,11 @@ def taylor_term_contour(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    mat = _perturbation(spec, a)
+    mat = require_hermitian(a, spec.dim)
     if contour is None:
         contour = CircleContour.enclosing(spec)
     lam = spec.eigenvalues
-    dist = float(np.max(np.abs(lam - contour.center)))
-    if dist >= contour.radius:
-        raise ValueError(
-            f"eigenvalue at distance {dist} from center lies on or outside radius {contour.radius}"
-        )
+    contour.require_inside(lam)
     z = contour.nodes()
     resolvent = 1.0 / (z[:, None] - lam[None, :])
     m = mat[None, :, :] * resolvent[:, None, :]
@@ -244,15 +196,6 @@ def taylor_term_contour(
     fprime = np.asarray(f.deriv_complex(1, z), dtype=complex)
     value = np.mean(fprime * traces * (z - contour.center)) / n
     return float(value.real)
-
-
-def _phi_values(spec: Spectrum, mat: np.ndarray, f: SmoothFunction, us: Sequence[float]):
-    d = np.diag(spec.eigenvalues)
-    out = []
-    for u in us:
-        mu = np.linalg.eigvalsh(d + u * mat)
-        out.append(float(np.sum(np.asarray(f(mu), dtype=float))))
-    return out
 
 
 def gateaux_fd(n: int, spec: Spectrum, a, f: SmoothFunction, h: float = 0.05) -> float:
@@ -267,16 +210,28 @@ def gateaux_fd(n: int, spec: Spectrum, a, f: SmoothFunction, h: float = 0.05) ->
         raise ValueError(f"order must be >= 1, got {n}")
     if not h > 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    mat = _perturbation(spec, a)
+    mat = require_hermitian(a, spec.dim)
     coeff = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)])
+    d = np.diag(spec.eigenvalues)
 
     def diff(step: float) -> float:
-        us = [(n / 2.0 - k) * step for k in range(n + 1)]
-        vals = _phi_values(spec, mat, f, us)
+        vals = [_trace_of(f, d + (n / 2.0 - k) * step * mat) for k in range(n + 1)]
         return float(np.dot(coeff, vals) / step**n)
 
     fine, coarse = diff(h / 2.0), diff(h)
     return (4.0 * fine - coarse) / 3.0 / math.factorial(n)
+
+
+def fd_noise_floor(n: int, h: float, dim: int) -> float:
+    """Smallest order-n contribution gateaux_fd at step h can resolve.
+
+    The finest stencil evaluates the trace at steps h/2; eigensolver noise
+    of about eps * dim per trace is amplified by the alternating binomial
+    sum (2^n) and the 1/((h/2)^n n!) scaling.  The factor 10 is headroom
+    over the measured constant.
+    """
+    eps = float(np.finfo(float).eps)
+    return 10.0 * 2.0**n * eps * dim / ((h / 2.0) ** n * math.factorial(n))
 
 
 def gateaux_fd_mixed(spec: Spectrum, a, b, f: SmoothFunction, h: float = 0.05) -> float:
@@ -286,13 +241,12 @@ def gateaux_fd_mixed(spec: Spectrum, a, b, f: SmoothFunction, h: float = 0.05) -
     quadratic form on pairs, e.g. its degeneracy along commutator
     directions [D, x] when the linear term vanishes.
     """
-    mat_a = _perturbation(spec, a)
-    mat_b = _perturbation(spec, b)
+    mat_a = require_hermitian(a, spec.dim)
+    mat_b = require_hermitian(b, spec.dim)
     d = np.diag(spec.eigenvalues)
 
     def phi(u: float, v: float) -> float:
-        mu = np.linalg.eigvalsh(d + u * mat_a + v * mat_b)
-        return float(np.sum(np.asarray(f(mu), dtype=float)))
+        return _trace_of(f, d + u * mat_a + v * mat_b)
 
     def cross(step: float) -> float:
         return (
@@ -379,7 +333,7 @@ def expand(
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}, expected one of {ROUTES}")
-    mat = _perturbation(spec, a)
+    mat = require_hermitian(a, spec.dim)
     if route == "bracket" and f.measure is None:
         raise ValueError("bracket route needs a function carrying its measure")
     if route in TUPLE_EXPONENT_SHIFT and n_max >= 1:
@@ -470,8 +424,6 @@ def epsilon_parent_move_count(child: EpsilonMultiIndex | Sequence[int]) -> int:
 
 def tadpole_check(spec: Spectrum, a, f: SmoothFunction) -> float:
     """Linear term sum_i A_ii f'(lam_i); zero diagonal means no tadpole."""
-    mat = np.asarray(a, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != spec.dim:
-        raise ValueError("perturbation shape does not match the spectrum")
+    mat = _square_complex(a, spec.dim)
     fp = np.asarray(f.deriv(1, spec.eigenvalues), dtype=float)
     return float(np.sum(np.diagonal(mat) * fp).real)

@@ -63,6 +63,10 @@ class TestConfigErrors:
         ("spectrum", "dim", 0),
         ("run", "budget", -5),
         ("run", "fd_step", 0.0),
+        ("run", "contour", {"center": 0.0, "radius": 3.0, "points": 1}),
+        ("run", "scaling_factors", [1, "x"]),
+        ("run", "remainder_tol", "x"),
+        ("perturbation", "seed", True),
     ])
     def test_bad_number_exits_2(self, tmp_path, capsys, section, key, value):
         cfg = json.loads(json.dumps(BASE_CFG))
@@ -71,6 +75,30 @@ class TestConfigErrors:
         assert main(["expand", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{section}.{key}" in err
+
+    @pytest.mark.parametrize("command,section,value,where", [
+        ("expand", "spectrum", {"kind": "explicit", "values": [1, 2, "a"]}, "spectrum.values"),
+        ("expand", "perturbation", {"kind": "explicit", "matrix": [[0.1, 0.0], [0.0, 0.2]]},
+         "perturbation"),
+        ("expand", "perturbation", {"kind": "explicit", "matrix": [[0, 1, 0, 0], [0, 0, 0, 0],
+                                                                   [0, 0, 0, 0], [0, 0, 0, 0]]},
+         "perturbation"),
+        ("expand", "run", {"route": "contour", "contour": {"center": 0.0, "radius": 0.5}},
+         "run.contour"),
+        ("verify", "verify", {"instances": "many", "seed": 1}, "verify.instances"),
+        ("verify", "verify", {"instances": -3, "seed": 1}, "verify.instances"),
+        ("verify", "verify", {"tol": "tight", "seed": 1}, "verify.tol"),
+        ("verify", "verify", {"dim_max": 1, "seed": 1}, "verify.dim_max"),
+        ("verify", "verify", {"seed": True}, "verify.seed"),
+        ("bounds", "bounds", {"simplex": {"samples": "lots", "seed": 1}},
+         "bounds.simplex.samples"),
+        ("bench", "bench", {"dims": [0], "seed": 1}, "bench.dims"),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, command, section, value, where):
+        path = write_cfg(tmp_path / "c.json", dict(BASE_CFG, **{section: value}))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and where in err
 
     def test_unknown_check_name(self, tmp_path):
         cfg = dict(BASE_CFG, verify={"checks": ["nonsense"], "seed": 1})

@@ -41,6 +41,8 @@ class TestNodeList:
     def test_rejects_negative_merge_tol(self):
         with pytest.raises(ValueError):
             NodeList((0.0, 1.0), merge_tol=-1e-3)
+        with pytest.raises(ValueError):
+            NodeList((0.0, 1.0), merge_tol=float("nan"))
 
     def test_clusters_merge_near_nodes(self):
         nl = NodeList((1.0, 1.0 + 5e-10, 2.0))
@@ -207,6 +209,9 @@ class TestContour:
     def test_node_outside_raises(self, mix):
         with pytest.raises(ValueError):
             dd_contour(mix, [0.0, 3.0], center=0.0, radius=1.0)
+        # a nan radius encloses nothing; it must not return nan
+        with pytest.raises(ValueError):
+            dd_contour(mix, [0.0, 0.5], center=0.0, radius=float("nan"))
 
     def test_geometric_convergence(self, mix):
         nodes = [-0.8, 0.1, 0.5, 1.2]

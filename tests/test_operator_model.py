@@ -110,16 +110,23 @@ class TestCommutators:
         lam = spec4.eigenvalues
         expected = (lam[:, None] - lam[None, :]) * herm4
         assert np.allclose(c, expected)
+        # a 1x1 matrix must not broadcast over the 4x4 spectrum
+        with pytest.raises(ValueError):
+            commutator_with_d(spec4, np.eye(1))
 
     def test_anticommutator_entries(self, spec4, herm4):
         c = anticommutator_with_d(spec4, herm4)
         lam = spec4.eigenvalues
         assert np.allclose(c, (lam[:, None] + lam[None, :]) * herm4)
+        with pytest.raises(ValueError):
+            anticommutator_with_d(spec4, np.eye(1))
 
     def test_d2_is_iterated_commutator(self, spec4, herm4):
         direct = commutator_with_d2(spec4, herm4)
         lam2 = spec4.squares
         assert np.allclose(direct, (lam2[:, None] - lam2[None, :]) * herm4)
+        with pytest.raises(ValueError):
+            commutator_with_d2(spec4, np.eye(1))
 
 
 class TestBracketDD:

@@ -280,6 +280,12 @@ class TestTadpole:
         assert tadpole_check(spec4, herm4, mix) == pytest.approx(
             gateaux_fd(1, spec4, herm4, mix, h=0.02), abs=1e-7)
 
+    def test_rejects_wrong_size_or_nonfinite(self, spec4, mix):
+        # linear, so non-Hermitian directions are fine, but not bad shapes
+        for bad in (np.eye(3), np.eye(1), np.full((4, 4), np.nan)):
+            with pytest.raises(ValueError):
+                tadpole_check(spec4, bad, mix)
+
 
 class TestMixedGateaux:
     def test_symmetry(self, spec4, mix, rng):
