@@ -130,7 +130,7 @@ def holder_estimate_check(
         raise ValueError("exponents must be 0 or 1")
     k = sum(alphas)
 
-    pert = mats[0] if perturbation is None else require_hermitian(perturbation, spec.dim)
+    pert = require_hermitian(mats[0] if perturbation is None else perturbation, spec.dim)
     mu, u = np.linalg.eigh(np.diag(spec.eigenvalues) + pert)
     lam = spec.eigenvalues
 

@@ -92,6 +92,14 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, where: str, required: bool = False) -> dict:
+    """cfg[key] as a JSON object; {} when absent and not ``required``."""
+    value = _require(cfg, key, where) if required else cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}.{key}: expected an object, got {value!r}")
+    return value
+
+
 def _number(section: dict, key: str, where: str, kind: type = float,
             default=None, positive: bool = False, least: int = 0):
     """section[key] as a finite int or float; ``default`` when the key is
@@ -176,13 +184,15 @@ def build_perturbation(section: dict, spec: Spectrum, override: int | None) -> n
         return band_hermitian(spec.dim, bandwidth, rng, norm=norm)
     if kind == "one-form":
         terms = _require(section, "terms", "perturbation")
+        if not isinstance(terms, list):
+            raise ConfigError(f"perturbation.terms: expected a list, got {terms!r}")
+        entries = dict(enumerate(terms))
         pairs = []
-        for k, term in enumerate(terms):
-            a = _as_complex_matrix(_require(term, "a", f"perturbation.terms[{k}]"),
-                                   f"perturbation.terms[{k}].a")
-            b = _as_complex_matrix(_require(term, "b", f"perturbation.terms[{k}]"),
-                                   f"perturbation.terms[{k}].b")
-            pairs.append((a, b))
+        for k in entries:
+            term = _section(entries, k, "perturbation.terms")
+            where = f"perturbation.terms.{k}"
+            pairs.append((_as_complex_matrix(_require(term, "a", where), f"{where}.a"),
+                          _as_complex_matrix(_require(term, "b", where), f"{where}.b")))
     elif kind == "explicit":
         mat = _as_complex_matrix(_require(section, "matrix", "perturbation"),
                                  "perturbation.matrix")
@@ -246,10 +256,10 @@ def _atomic_write(path: str, text: str) -> None:
 # expand
 
 def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | None) -> int:
-    spec = build_spectrum(_require(cfg, "spectrum", "config"), override)
-    a = build_perturbation(_require(cfg, "perturbation", "config"), spec, override)
-    f = build_function(_require(cfg, "function", "config"))
-    run = cfg.get("run", {})
+    spec = build_spectrum(_section(cfg, "spectrum", "config", required=True), override)
+    a = build_perturbation(_section(cfg, "perturbation", "config", required=True), spec, override)
+    f = build_function(_section(cfg, "function", "config", required=True))
+    run = _section(cfg, "run", "config")
 
     n_max = _number(run, "n_max", "run", int, default=4)
     route = route_flag or run.get("route", "dd")
@@ -259,7 +269,7 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
     scaling = _numbers(run, "scaling_factors", "run", default=(1.0, 0.5, 0.25), positive=True)
     contour = None
     if "contour" in run:
-        sec = run["contour"]
+        sec = _section(run, "contour", "run")
         contour = CircleContour(center=_number(sec, "center", "run.contour"),
                                 radius=_number(sec, "radius", "run.contour", positive=True),
                                 points=_number(sec, "points", "run.contour", int,
@@ -307,7 +317,7 @@ def _random_nodes(rng: np.random.Generator, max_size: int) -> np.ndarray:
 
 
 def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
-    section = cfg.get("verify", {})
+    section = _section(cfg, "verify", "config")
     checks = section.get("checks", list(DEFAULT_CHECKS))
     if not isinstance(checks, list):
         raise ConfigError(f"verify.checks: expected a list, got {checks!r}")
@@ -434,11 +444,11 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
 # bounds
 
 def cmd_bounds(cfg: dict, out_dir: str, override: int | None) -> int:
-    section = cfg.get("bounds", {})
+    section = _section(cfg, "bounds", "config")
     rows: list[list] = []
 
     if "simplex" in section:
-        sub = section["simplex"]
+        sub = _section(section, "simplex", "bounds")
         samples = _number(sub, "samples", "bounds.simplex", int, default=100_000, least=2)
         seed = _seed_of(sub, "bounds.simplex", override)
         m_max = _number(sub, "m_max", "bounds.simplex", int, default=8)
@@ -450,7 +460,7 @@ def cmd_bounds(cfg: dict, out_dir: str, override: int | None) -> int:
                              rep.margin, rep.mc_stderr, rep.passed])
 
     if "holder" in section:
-        sub = section["holder"]
+        sub = _section(section, "holder", "bounds")
         samples = _number(sub, "samples", "bounds.holder", int, default=20_000, least=2)
         instances = _number(sub, "instances", "bounds.holder", int, default=20, positive=True)
         dim_max = _number(sub, "dim_max", "bounds.holder", int, default=4, least=2)
@@ -472,7 +482,7 @@ def cmd_bounds(cfg: dict, out_dir: str, override: int | None) -> int:
                          rep.lhs, rep.rhs, rep.margin, rep.mc_stderr, rep.passed])
 
     if "getzler-szenes" in section:
-        sub = section["getzler-szenes"]
+        sub = _section(section, "getzler-szenes", "bounds")
         instances = _number(sub, "instances", "bounds.getzler-szenes", int, default=100,
                             positive=True)
         dim_max = _number(sub, "dim_max", "bounds.getzler-szenes", int, default=8, positive=True)
@@ -497,7 +507,7 @@ def cmd_bounds(cfg: dict, out_dir: str, override: int | None) -> int:
 # bench
 
 def cmd_bench(cfg: dict, out_dir: str, override: int | None) -> int:
-    section = cfg.get("bench", {})
+    section = _section(cfg, "bench", "config")
     dims = _numbers(section, "dims", "bench", int, default=(4, 8), positive=True)
     orders = _numbers(section, "orders", "bench", int, default=(1, 2, 3, 4))
     seed = _seed_of(section, "bench", override) if section else 0

@@ -61,6 +61,12 @@ def _merge_runs(xs: Sequence[float], tol: float) -> list[list[float]]:
     return runs
 
 
+def _representative(run: Sequence[float]) -> float:
+    """A merged run's node: the value itself for exact repeats (a mean of
+    copies can round off it), else the mean."""
+    return run[0] if run[0] == run[-1] else sum(run) / len(run)
+
+
 @dataclass(frozen=True)
 class NodeList:
     """Evaluation nodes plus the tolerance at which they coalesce.
@@ -68,7 +74,8 @@ class NodeList:
     ``nodes`` keeps the caller's order (chain-rule formulas are written in
     terms of it); clustering only happens when a confluent table is built.
     A cluster is a maximal chain of sorted nodes with consecutive gaps at
-    most ``merge_tol``; it is represented by its mean and multiplicity.
+    most ``merge_tol``; it is represented by its mean (by the value itself
+    when every copy is equal) and multiplicity.
     """
 
     nodes: tuple[float, ...]
@@ -98,7 +105,7 @@ class NodeList:
     def clusters(self) -> list[tuple[float, int]]:
         """Sorted (representative, multiplicity) pairs after merging."""
         runs = _merge_runs(sorted(self.nodes), self.merge_tol)
-        return [(sum(run) / len(run), len(run)) for run in runs]
+        return [(_representative(run), len(run)) for run in runs]
 
     def expanded(self) -> np.ndarray:
         """Sorted node array with each cluster representative repeated."""
@@ -115,7 +122,7 @@ class NodeList:
     def max_merge_shift(self) -> float:
         """Largest distance any node moved to its cluster representative."""
         runs = _merge_runs(sorted(self.nodes), self.merge_tol)
-        return max(abs(x - sum(run) / len(run)) for run in runs for x in run)
+        return max(abs(x - _representative(run)) for run in runs for x in run)
 
 
 def as_nodes(nodes: NodeList | Sequence[float]) -> NodeList:
@@ -380,6 +387,15 @@ class MultisetDivDiff:
     original list, with the cache keyed by the sorted cluster-id multiset,
     so permutations and degenerate values share entries.  This is the
     workhorse behind the tuple-sum tensors of the trace expansions.
+
+    A multiset whose end nodes lie more than SERIES_SPAN apart (any
+    distinct ends when f has finite order) is one Newton step from its two
+    one-smaller sub-multisets, f[x_0..x_n] = (f[x_1..x_n] -
+    f[x_0..x_{n-1}]) / (x_n - x_0), both taken from the cache; narrow,
+    confluent and single-node multisets go to dd_recursive.  This is the
+    table dd_recursive builds, with every sub-block evaluated once per
+    instance, so each value equals dd_recursive on the same nodes bit for
+    bit.
     """
 
     def __init__(self, fn: SmoothFunction, values, merge_tol: float | None = None):
@@ -392,7 +408,7 @@ class MultisetDivDiff:
         runs = _merge_runs(vals[order].tolist(), tol)
         self.cluster_of = np.empty(vals.size, dtype=int)
         self.cluster_of[order] = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
-        self.rep = np.array([sum(run) / len(run) for run in runs])
+        self.rep = np.array([_representative(run) for run in runs])
         self._cache: dict[tuple[int, ...], float] = {}
 
     def value(self, idx: Sequence[int]) -> float:
@@ -402,8 +418,11 @@ class MultisetDivDiff:
         """Divided difference over the sorted cluster-id multiset ``key``."""
         hit = self._cache.get(key)
         if hit is None:
-            nodes = NodeList(tuple(self.rep[list(key)]), merge_tol=0.0)
-            hit = dd_recursive(self.fn, nodes)
+            lo, hi = self.rep[key[0]], self.rep[key[-1]]
+            if key[0] != key[-1] and (self.fn.max_order is not None or hi - lo > SERIES_SPAN):
+                hit = (self._evaluate(key[1:]) - self._evaluate(key[:-1])) / float(hi - lo)
+            else:
+                hit = dd_recursive(self.fn, NodeList(tuple(self.rep[list(key)]), merge_tol=0.0))
             self._cache[key] = hit
         return hit
 

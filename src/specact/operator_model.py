@@ -108,7 +108,7 @@ def _square_complex(a, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise ValueError(f"matrix dimension {m.shape[0]} does not match spectrum's {dim}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
 

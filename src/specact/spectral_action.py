@@ -104,10 +104,13 @@ def taylor_term(
     if n == 0:
         return float(np.sum(np.asarray(f(spec.eigenvalues), dtype=float)))
     _check_budget(spec.dim, n, budget)
-    table = MultisetDivDiff(f.derivative(), spec.eigenvalues)
-    weight = table.tensor(n)
-    value = _cyclic_contract([mat] * n, weight) / n
-    return float(value.real)
+    return _dd_term(n, mat, MultisetDivDiff(f.derivative(), spec.eigenvalues))
+
+
+def _dd_term(n: int, mat: np.ndarray, table: MultisetDivDiff) -> float:
+    """(1/n) sum A_{i_1 i_2} ... A_{i_n i_1} f'[lam_{i_1}, ..., lam_{i_n}]
+    over a table of f' on the spectrum, shared by every order of expand."""
+    return float((_cyclic_contract([mat] * n, table.tensor(n)) / n).real)
 
 
 def taylor_term_theorem_form(
@@ -340,9 +343,11 @@ def expand(
         _check_budget(spec.dim, n_max + TUPLE_EXPONENT_SHIFT[route], budget)
 
     contribs = [taylor_term(0, spec, mat, f)]
+    if route == "dd" and n_max >= 1:
+        table = MultisetDivDiff(f.derivative(), spec.eigenvalues)
     for n in range(1, n_max + 1):
         if route == "dd":
-            c = taylor_term(n, spec, mat, f, budget=budget)
+            c = _dd_term(n, mat, table)
         elif route == "theorem":
             c = taylor_term_theorem_form(n, spec, mat, f, budget=budget) / n
         elif route == "bracket":

@@ -152,6 +152,16 @@ class TestHolderEstimate:
             holder_estimate_check(spec4, [eye], [2], t=1.0, eps=0.5,
                                   samples=10, seed=1)
 
+    def test_default_perturbation_must_be_hermitian(self):
+        # ops[0] stands in for the perturbation; eigh would read only its
+        # lower triangle
+        spec = Spectrum(np.array([-1.0, 0.5, 1.2]))
+        e01 = np.zeros((3, 3))
+        e01[0, 1] = 1.0
+        with pytest.raises(ValueError, match="Hermitian"):
+            holder_estimate_check(spec, [e01, np.eye(3)], [1, 0], t=1.0, eps=0.5,
+                                  samples=10, seed=1)
+
 
 class TestGetzlerSzenes:
     def test_zero_perturbation_positive_margin(self, spec4):

@@ -93,6 +93,13 @@ class TestConfigErrors:
         ("bounds", "bounds", {"simplex": {"samples": "lots", "seed": 1}},
          "bounds.simplex.samples"),
         ("bench", "bench", {"dims": [0], "seed": 1}, "bench.dims"),
+        ("expand", "run", 5, "run"),
+        ("expand", "run", {"contour": 5}, "run.contour"),
+        ("verify", "verify", [1], "verify"),
+        ("bench", "bench", [1], "bench"),
+        ("bounds", "bounds", {"simplex": 5}, "bounds.simplex"),
+        ("expand", "spectrum", 5, "spectrum"),
+        ("expand", "perturbation", {"kind": "one-form", "terms": [5]}, "perturbation.terms.0"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, command, section, value, where):
         path = write_cfg(tmp_path / "c.json", dict(BASE_CFG, **{section: value}))

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -61,6 +62,12 @@ class TestNodeList:
     def test_zero_tol_keeps_distinct(self):
         nl = NodeList((0.0, 1e-12), merge_tol=0.0)
         assert len(nl.clusters()) == 2
+
+    def test_exact_repeats_keep_their_value(self):
+        # sum([0.1] * 3) / 3 rounds off 0.1
+        nl = NodeList((0.1, 0.1, 0.1), merge_tol=0.0)
+        assert nl.clusters() == [(0.1, 3)]
+        assert nl.max_merge_shift == 0.0
 
 
 class TestRecursive:
@@ -393,13 +400,39 @@ class TestMultisetDivDiff:
         real = divdiff_module.dd_recursive
 
         def counting(f, nodes):
-            calls.append(nodes)
+            calls.append(nodes.nodes)
             return real(f, nodes)
 
         monkeypatch.setattr(divdiff_module, "dd_recursive", counting)
         table = MultisetDivDiff(mix, self.SPECTRA["merged"])
         assert len(table.rep) == 4
         table.tensor(4)
-        assert len(calls) == math.comb(4 + 4 - 1, 4)
+        assert len(set(calls)) == len(calls)
+        # all C(4 + 4 - 1, 4) order-4 multisets are cached
+        assert all(key in table._cache for key in combinations_with_replacement(range(4), 4))
+        count = len(calls)
         table.tensor(4)
-        assert len(calls) == math.comb(4 + 4 - 1, 4)
+        assert len(calls) == count
+
+    FUNCTIONS = {
+        "mixture-derivative": make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)]).derivative(),
+        "exp-decay": exp_decay(1.3),
+        "steep-t40": make_gaussian_mixture([(40.0, 1.0)]),
+        "finite-order": SmoothFunction(
+            eval_fn=np.sin, deriv_fn=lambda k, x: np.sin(np.asarray(x) + k * np.pi / 2),
+            max_order=3),
+    }
+
+    @pytest.mark.parametrize("fname", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_memoised_values_equal_newton_table(self, name, fname):
+        fn = self.FUNCTIONS[fname]
+        table = MultisetDivDiff(fn, self.SPECTRA[name])
+        for order in range(1, 6):
+            for key in combinations_with_replacement(range(len(table.rep)), order + 1):
+                nodes = NodeList(tuple(table.rep[list(key)]), merge_tol=0.0)
+                if fn.max_order is not None and nodes.max_multiplicity - 1 > fn.max_order:
+                    with pytest.raises(DerivativeOrderError):
+                        table._evaluate(key)
+                else:
+                    assert table._evaluate(key) == dd_recursive(fn, nodes), key

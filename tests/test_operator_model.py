@@ -58,9 +58,11 @@ class TestSpectrum:
 
 
 class TestHermitianHelpers:
-    def test_require_hermitian_passes_symmetric(self):
+    def test_require_hermitian_passes_symmetric(self, herm4):
         m = require_hermitian([[1.0, 2.0], [2.0, 3.0]])
         assert m.dtype == complex
+        # a transposed view has a non-contiguous last axis
+        assert np.array_equal(require_hermitian(herm4.conj().T), herm4.conj().T)
 
     def test_require_hermitian_rejects(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,9 @@ class TestExpand:
         rng = make_rng(3)
         a = random_hermitian(8, rng, norm=0.1)
         report = expand(spec, a, mix_single, n_max=6)
+        # one shared table gives each order's value bit for bit
+        for n in range(1, 7):
+            assert report.contributions[n] == taylor_term(n, spec, a, mix_single), n
         remainder = abs(report.exact - sum(report.contributions))
         assert remainder <= 1e-6 * max(abs(report.exact), 1e-30)
         assert report.scaling_exponent is not None
