@@ -28,6 +28,7 @@ import numpy as np
 from .operator_model import (
     Spectrum,
     _cyclic_heat_traces,
+    _mc_mean,
     _square_complex,
     _trace_of,
     heat_trace,
@@ -147,10 +148,7 @@ def holder_estimate_check(
     rng = make_rng(seed)
     s = simplex_uniform(rng, n, samples)
     traces = _cyclic_heat_traces(gs, ws, s)
-    scale = 1.0 / math.factorial(n)
-    estimate = complex(traces.mean() * scale)
-    spread = math.sqrt(traces.real.var(ddof=1) + traces.imag.var(ddof=1))
-    stderr = float(spread * scale / math.sqrt(samples))
+    estimate, stderr = _mc_mean(traces, 1.0 / math.factorial(n))
 
     norms = math.prod(operator_norm(mat) for mat in mats)
     if k <= n:

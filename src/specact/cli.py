@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from .bounds import getzler_szenes_check, holder_estimate_check, simplex_bound_check
-from .divdiff import dd_contour, dd_hermite_mc, dd_recursive, dd_derivative_sum
+from .divdiff import NodeList, dd_contour, dd_hermite_mc, dd_recursive, dd_derivative_sum
 from .errors import BudgetExceededError, ConfigError
 from .functions import DiscreteMeasure, make_gaussian_mixture
 from .operator_model import (
@@ -534,9 +534,11 @@ def cmd_bench(cfg: dict, out_dir: str, override: int | None) -> int:
 
 def cmd_divdiff(args) -> int:
     try:
-        nodes = [float(x) for x in args.nodes.split(",") if x.strip()]
+        nodes = NodeList(tuple(float(x) for x in args.nodes.split(",") if x.strip()))
     except ValueError as exc:
         raise ConfigError(f"--nodes: {exc}") from exc
+    if args.deriv < 0:
+        raise ConfigError(f"--deriv: expected a nonnegative integer, got {args.deriv}")
     atoms = []
     try:
         for rec in args.atoms.split(","):

@@ -11,11 +11,12 @@ derivative of exp(-t x^2) is (-1)^k t^{k/2} H_k(sqrt(t) x) exp(-t x^2)
 with H_k the physicists' Hermite polynomial (three-term recurrence), and
 g differentiates atomwise to (-t)^k exp(-t u).
 
-``SmoothFunction`` is the common carrier type: evaluation, derivatives up
-to ``max_order`` (None = unbounded), an optional complex-argument
-extension for contour integration, an optional square companion g, an
-optional back-reference to the inducing measure, and an optional ladder
-that returns every derivative up to a given order in one pass.
+``SmoothFunction`` is the common carrier type.  Its one derivative source
+is a ladder, ``ladder_fn(k, x) = [f(x), ..., f^(k)(x)]``; evaluation,
+single derivatives, complex arguments and the derivative function all
+read it.  The built-in ladders are one Gaussian kernel (the mixture), one
+exponential kernel (its companion and ``exp_decay``) and the polynomial
+ladder (``polynomial_function``, ``square_function``).
 """
 
 from __future__ import annotations
@@ -75,56 +76,46 @@ class DiscreteMeasure:
 class SmoothFunction:
     """A scalar function with derivatives available up to ``max_order``.
 
-    ``eval_fn(x)`` and ``deriv_fn(k, x)`` (k >= 1) must accept floats and
-    numpy arrays alike.  ``max_order=None`` means every order is exact.
-    ``complex_fn(k, z)``, when present, evaluates the k-th derivative at
-    complex arguments; contour-based routines require it.  The invariant
-    deriv(0, x) == eval(x) is enforced by dispatch.  ``ladder_fn(k, x)``,
-    when present, returns [deriv(0, x), ..., deriv(k, x)] at a real scalar
-    x, bit for bit, at the cost of one evaluation.
+    ``ladder_fn(k, x)`` is the one derivative source: it returns
+    [f(x), f'(x), ..., f^(k)(x)] at a float, a real array or a complex
+    array, every entry of an array being what the float would give.  A
+    ladder that returns real values at complex points has no complex
+    extension, and contour-based routines reject it.  ``max_order=None``
+    means every order is exact.  ``square_companion`` is an optional g
+    with f(x) = g(x^2), ``measure`` the optional inducing measure.
     """
 
-    eval_fn: Callable
-    deriv_fn: Callable
+    ladder_fn: Callable
     max_order: int | None = None
     square_companion: "SmoothFunction | None" = None
-    complex_fn: Callable | None = None
     measure: DiscreteMeasure | None = None
-    ladder_fn: Callable | None = None
 
     def __call__(self, x):
-        return self.eval_fn(x)
+        return self.ladder_fn(0, x)[0]
 
     def require_order(self, k: int) -> None:
+        if k < 0:
+            raise ValueError(f"derivative order must be >= 0, got {k}")
         if self.max_order is not None and k > self.max_order:
             raise DerivativeOrderError(
                 f"derivative order {k} requested but only {self.max_order} available"
             )
 
     def deriv(self, k: int, x):
-        if k < 0:
-            raise ValueError(f"derivative order must be >= 0, got {k}")
         self.require_order(k)
-        if k == 0:
-            return self.eval_fn(x)
-        return self.deriv_fn(k, x)
+        return self.ladder_fn(k, x)[k]
 
-    def deriv_ladder(self, k_max: int, x: float) -> list[float]:
-        """[f(x), f'(x), ..., f^(k_max)(x)] at a real scalar x."""
-        if k_max < 0:
-            raise ValueError(f"derivative order must be >= 0, got {k_max}")
+    def deriv_ladder(self, k_max: int, x) -> list:
+        """[f(x), f'(x), ..., f^(k_max)(x)]."""
         self.require_order(k_max)
-        if self.ladder_fn is not None:
-            return self.ladder_fn(k_max, x)
-        return [float(self.deriv(k, x)) for k in range(k_max + 1)]
+        return self.ladder_fn(k_max, x)
 
     def deriv_complex(self, k: int, z):
-        if self.complex_fn is None:
-            raise ValueError("this function has no complex-argument evaluation")
-        if k < 0:
-            raise ValueError(f"derivative order must be >= 0, got {k}")
         self.require_order(k)
-        return self.complex_fn(k, z)
+        value = self.ladder_fn(k, np.asarray(z, dtype=complex))[k]
+        if not np.iscomplexobj(value):
+            raise ValueError("this function has no complex-argument evaluation")
+        return value
 
     def eval_complex(self, z):
         return self.deriv_complex(0, z)
@@ -133,59 +124,29 @@ class SmoothFunction:
         """The derivative as a SmoothFunction (orders shift down by one)."""
         if self.max_order is not None and self.max_order < 1:
             raise DerivativeOrderError("no derivative available beyond order 0")
-        parent = self
-        new_max = None if parent.max_order is None else parent.max_order - 1
-        complex_fn = None
-        if parent.complex_fn is not None:
-            complex_fn = lambda k, z: parent.complex_fn(k + 1, z)  # noqa: E731
-        ladder_fn = None
-        if parent.ladder_fn is not None:
-            ladder_fn = lambda k, x: parent.ladder_fn(k + 1, x)[1:]  # noqa: E731
+        ladder = self.ladder_fn
         return SmoothFunction(
-            eval_fn=lambda x: parent.deriv_fn(1, x),
-            deriv_fn=lambda k, x: parent.deriv_fn(k + 1, x),
-            max_order=new_max,
-            complex_fn=complex_fn,
-            ladder_fn=ladder_fn,
+            ladder_fn=lambda k, x: ladder(k + 1, x)[1:],
+            max_order=None if self.max_order is None else self.max_order - 1,
         )
 
 
-def _hermite(k: int, u):
-    """Physicists' Hermite polynomial H_k(u) by the three-term recurrence."""
-    u = np.asarray(u)
-    h_prev = np.ones_like(u)
-    if k == 0:
-        return h_prev
-    h = 2.0 * u
-    for m in range(1, k):
-        h, h_prev = 2.0 * u * h - 2.0 * m * h_prev, h
-    return h
+def _argument(x):
+    """A real scalar as a Python float (the divided-difference hot path
+    stays off numpy scalars); anything else as an array."""
+    return float(x) if isinstance(x, (int, float)) else np.asarray(x)
 
 
-def _mixture_deriv(atoms, k: int, x):
-    x = np.asarray(x)
-    scalar = x.ndim == 0
-    total = np.zeros_like(x, dtype=x.dtype if np.iscomplexobj(x) else float)
-    for t, w in atoms:
-        rt = math.sqrt(t)
-        core = np.exp(-t * x * x)
-        if k == 0:
-            total = total + w * core
-        else:
-            total = total + w * ((-rt) ** k) * _hermite(k, rt * x) * core
-    return total.item() if scalar else total
-
-
-def _mixture_ladder(atoms, k_max: int, x: float) -> list[float]:
-    """Orders 0..k_max of the mixture at a real scalar x, one Hermite
-    recurrence per atom.  Each order repeats the floating-point operations
-    of _mixture_deriv in the same order, so every entry is bit-identical.
-    """
-    x = float(x)
+def _gaussian_ladder(atoms, k_max: int, x) -> list:
+    """Orders 0..k_max of sum_j w_j exp(-t_j x^2), one Hermite recurrence
+    H_{k+1}(u) = 2u H_k(u) - 2k H_{k-1}(u) per atom, at u = sqrt(t_j) x."""
+    x = _argument(x)
     out = [0.0] * (k_max + 1)
     for t, w in atoms:
         rt = math.sqrt(t)
-        core = float(np.exp(-t * x * x))
+        core = np.exp(-t * x * x)
+        if isinstance(x, float):
+            core = float(core)
         two_u = 2.0 * (rt * x)
         h_prev, h = 1.0, two_u
         out[0] += w * core
@@ -195,57 +156,33 @@ def _mixture_ladder(atoms, k_max: int, x: float) -> list[float]:
     return out
 
 
-def _companion_deriv(atoms, k: int, u):
-    u = np.asarray(u)
-    scalar = u.ndim == 0
-    total = np.zeros_like(u, dtype=u.dtype if np.iscomplexobj(u) else float)
+def _exp_ladder(atoms, k_max: int, u) -> list:
+    """Orders 0..k_max of sum_j w_j exp(-t_j u): atom j contributes
+    w_j (-t_j)^k exp(-t_j u) to order k."""
+    u = _argument(u)
+    out = [0.0] * (k_max + 1)
     for t, w in atoms:
-        total = total + w * ((-t) ** k) * np.exp(-t * u)
-    return total.item() if scalar else total
+        core = np.exp(-t * u)
+        if isinstance(u, float):
+            core = float(core)
+        for k in range(k_max + 1):
+            out[k] += w * ((-t) ** k) * core
+    return out
 
 
 def make_gaussian_mixture(measure: DiscreteMeasure | Iterable) -> SmoothFunction:
     """Mixture f(x) = sum_j w_j exp(-t_j x^2) with exact derivatives.
 
     Accepts a DiscreteMeasure or an iterable of (t, w) pairs.  The result
-    carries the companion g with f(x) = g(x^2), complex-argument
-    evaluation (the mixture is entire), and the inducing measure.
+    carries the companion g with f(x) = g(x^2) and the inducing measure;
+    both extend to complex arguments (they are entire).
     """
     mu = measure if isinstance(measure, DiscreteMeasure) else DiscreteMeasure(tuple(measure))
     atoms = mu.atoms
-
-    def f_eval(x):
-        return _mixture_deriv(atoms, 0, x)
-
-    def f_deriv(k, x):
-        return _mixture_deriv(atoms, k, x)
-
-    def f_complex(k, z):
-        return _mixture_deriv(atoms, k, np.asarray(z, dtype=complex))
-
-    def f_ladder(k_max, x):
-        return _mixture_ladder(atoms, k_max, x)
-
-    def g_eval(u):
-        return _companion_deriv(atoms, 0, u)
-
-    def g_deriv(k, u):
-        return _companion_deriv(atoms, k, u)
-
-    def g_complex(k, z):
-        return _companion_deriv(atoms, k, np.asarray(z, dtype=complex))
-
-    companion = SmoothFunction(
-        eval_fn=g_eval, deriv_fn=g_deriv, max_order=None, complex_fn=g_complex
-    )
     return SmoothFunction(
-        eval_fn=f_eval,
-        deriv_fn=f_deriv,
-        max_order=None,
-        square_companion=companion,
-        complex_fn=f_complex,
+        ladder_fn=lambda k, x: _gaussian_ladder(atoms, k, x),
+        square_companion=SmoothFunction(ladder_fn=lambda k, u: _exp_ladder(atoms, k, u)),
         measure=mu,
-        ladder_fn=f_ladder,
     )
 
 
@@ -254,59 +191,29 @@ def exp_decay(rate: float) -> SmoothFunction:
     rate = float(rate)
     if not math.isfinite(rate):
         raise ValueError("rate must be finite")
-
-    def d(k, u):
-        return ((-rate) ** k) * np.exp(-rate * np.asarray(u))
-
-    def ladder(k_max, u):
-        core = np.exp(-rate * np.asarray(u))
-        return [float(core)] + [float(((-rate) ** k) * core) for k in range(1, k_max + 1)]
-
-    return SmoothFunction(
-        eval_fn=lambda u: np.exp(-rate * np.asarray(u)),
-        deriv_fn=d,
-        max_order=None,
-        complex_fn=lambda k, z: ((-rate) ** k) * np.exp(-rate * np.asarray(z, dtype=complex)),
-        ladder_fn=ladder,
-    )
+    atoms = ((rate, 1.0),)
+    return SmoothFunction(ladder_fn=lambda k, u: _exp_ladder(atoms, k, u))
 
 
 def square_function() -> SmoothFunction:
     """x -> x^2; second derivative 2, all higher derivatives vanish."""
-
-    def d(k, x):
-        x = np.asarray(x)
-        if k == 1:
-            return 2.0 * x
-        if k == 2:
-            return np.full_like(x, 2.0, dtype=x.dtype if np.iscomplexobj(x) else float)
-        return np.zeros_like(x, dtype=x.dtype if np.iscomplexobj(x) else float)
-
-    return SmoothFunction(
-        eval_fn=lambda x: np.asarray(x) ** 2,
-        deriv_fn=d,
-        max_order=None,
-        complex_fn=lambda k, z: d(k, np.asarray(z, dtype=complex))
-        if k
-        else np.asarray(z, dtype=complex) ** 2,
-    )
+    return polynomial_function([0, 0, 1])
 
 
 def polynomial_function(coeffs: Sequence[float]) -> SmoothFunction:
     """Polynomial with the given ascending coefficients; exact at all orders."""
     poly = np.polynomial.Polynomial(list(coeffs))
 
-    def d(k, x):
-        return poly.deriv(k)(x)
+    def ladder(k_max, x):
+        x = _argument(x)
+        out = [poly(x)]
+        p = poly
+        for _ in range(k_max):
+            p = p.deriv()
+            out.append(p(x))
+        return [float(v) for v in out] if isinstance(x, float) else out
 
-    return SmoothFunction(
-        eval_fn=lambda x: poly(x),
-        deriv_fn=d,
-        max_order=None,
-        complex_fn=lambda k, z: poly.deriv(k)(np.asarray(z, dtype=complex))
-        if k
-        else poly(np.asarray(z, dtype=complex)),
-    )
+    return SmoothFunction(ladder_fn=ladder)
 
 
 def check_summability(

@@ -64,6 +64,13 @@ __all__ = [
 DEFAULT_TUPLE_BUDGET = 10_000_000
 
 
+def _check_budget(dim: int, exponent: int, budget: int) -> None:
+    if dim**exponent > budget:
+        raise BudgetExceededError(
+            f"tuple sum needs {dim}^{exponent} = {dim**exponent} terms, over budget {budget}"
+        )
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of the diagonal base operator, ascending."""
@@ -142,10 +149,15 @@ def heat_trace(spec: Spectrum, t: float) -> float:
     return float(np.sum(np.exp(-t * spec.squares)))
 
 
+def _heat_semigroup(u: np.ndarray, mu: np.ndarray, tau: float) -> np.ndarray:
+    """U diag(e^{-tau mu^2}) U*, i.e. e^{-tau H^2} for H = U diag(mu) U*."""
+    return (u * np.exp(-tau * mu * mu)[None, :]) @ u.conj().T
+
+
 def heat_kernel(h, t: float) -> np.ndarray:
     """e^{-t H^2} for a Hermitian matrix H, via eigendecomposition."""
     lam, u = np.linalg.eigh(require_hermitian(h))
-    return (u * np.exp(-t * lam * lam)[None, :]) @ u.conj().T
+    return _heat_semigroup(u, lam, t)
 
 
 def operator_norm(a) -> float:
@@ -229,10 +241,7 @@ def bracket_dd(
     n = len(mats) - 1
     if n < 0:
         raise ValueError("need at least one operator")
-    if spec.dim ** (n + 1) > budget:
-        raise BudgetExceededError(
-            f"bracket needs {spec.dim}^{n + 1} tuples, over budget {budget}"
-        )
+    _check_budget(spec.dim, n + 1, budget)
     table = _exp_divdiff(spec, t)
     weight = table.tensor(n + 1)
     value = ((-1.0) ** n) * _cyclic_contract(mats, weight)
@@ -256,6 +265,14 @@ def _cyclic_heat_traces(
             prod = prod @ factor
         out[lo : lo + chunk] = np.einsum("pii->p", prod)
     return out
+
+
+def _mc_mean(traces: np.ndarray, scale: float) -> tuple[complex, float]:
+    """Sample mean of complex ``traces`` times ``scale``, and its standard
+    error with the real and imaginary sample variances summed."""
+    estimate = complex(traces.mean() * scale)
+    spread = math.sqrt(traces.real.var(ddof=1) + traces.imag.var(ddof=1))
+    return estimate, float(spread * scale / math.sqrt(len(traces)))
 
 
 def bracket_mc(
@@ -284,11 +301,7 @@ def bracket_mc(
     s = simplex_uniform(rng, n, samples)
     w = [t * spec.squares] * (n + 1)
     traces = _cyclic_heat_traces(mats, w, s)
-    scale = (t**n) / math.factorial(n)
-    estimate = complex(traces.mean() * scale)
-    spread = math.sqrt(traces.real.var(ddof=1) + traces.imag.var(ddof=1))
-    stderr = float(spread * scale / math.sqrt(samples))
-    return estimate, stderr
+    return _mc_mean(traces, (t**n) / math.factorial(n))
 
 
 @dataclass(frozen=True)
@@ -393,16 +406,15 @@ def duhamel_residual(spec: Spectrum, a, t: float, quad_points: int = 64) -> floa
     d = np.diag(lam).astype(complex)
     pa = d @ mat + mat @ d + mat @ mat
     mu, u = np.linalg.eigh(d + mat)
-    heat_a = (u * np.exp(-t * mu * mu)[None, :]) @ u.conj().T
+    heat_a = _heat_semigroup(u, mu, t)
     heat_d = np.diag(np.exp(-t * lam * lam)).astype(complex)
 
     x, w = np.polynomial.legendre.leggauss(quad_points)
     s_nodes = 0.5 * (x + 1.0)
     s_weights = 0.5 * w
     integral = np.zeros_like(mat)
-    uh = u.conj().T
     for s, wt in zip(s_nodes, s_weights):
-        left = (u * np.exp(-s * t * mu * mu)[None, :]) @ uh
+        left = _heat_semigroup(u, mu, s * t)
         right = np.exp(-(1.0 - s) * t * lam * lam)
         integral += wt * (left @ pa * right[None, :])
     return float(np.max(np.abs(heat_a - heat_d + t * integral)))

@@ -35,11 +35,11 @@ from typing import Sequence
 import numpy as np
 
 from .divdiff import CircleContour, MultisetDivDiff, step_bitstrings
-from .errors import BudgetExceededError
 from .functions import DiscreteMeasure, SmoothFunction
 from .operator_model import (
     DEFAULT_TUPLE_BUDGET,
     Spectrum,
+    _check_budget,
     _cyclic_contract,
     _exp_divdiff,
     _square_complex,
@@ -75,13 +75,6 @@ TUPLE_EXPONENT_SHIFT = {"dd": 0, "theorem": 0, "bracket": 1}
 def action_exact(spec: Spectrum, a, f: SmoothFunction) -> float:
     """tr f(D + A) summed over the exact eigenvalues of the perturbed operator."""
     return _trace_of(f, np.diag(spec.eigenvalues) + require_hermitian(a, spec.dim))
-
-
-def _check_budget(dim: int, exponent: int, budget: int) -> None:
-    if dim**exponent > budget:
-        raise BudgetExceededError(
-            f"tuple sum needs {dim}^{exponent} = {dim**exponent} terms, over budget {budget}"
-        )
 
 
 def taylor_term(

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import specact
 from specact import Spectrum, dd_recursive, make_gaussian_mixture, taylor_term
 from specact.cli import main
 
@@ -327,12 +329,24 @@ class TestDivdiffCommand:
     def test_bad_nodes_exit_2(self, capsys):
         assert main(["divdiff", "--nodes", "1,zap", "--atoms", "1:1"]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--nodes", ","],
+        ["--nodes", "nan,1"],
+        ["--nodes", "1,2", "--deriv", "-1"],
+    ])
+    def test_bad_arguments_exit_2(self, capsys, extra):
+        assert main(["divdiff", "--atoms", "1:1"] + extra) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_installed_script(self, tmp_path):
+        # the child imports the specact this process imported, installed or not
+        paths = [os.path.dirname(os.path.dirname(specact.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         result = subprocess.run(
             [sys.executable, "-m", "specact.cli", "divdiff",
              "--nodes", "1,2", "--atoms", "1:1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert result.stdout.strip()

@@ -76,24 +76,21 @@ class TestRecursive:
         assert dd_recursive(square_function(), [1.0, 2.0]) == pytest.approx(3.0)
 
     def test_confluent_exp_triple(self):
-        f = SmoothFunction(eval_fn=np.exp, deriv_fn=lambda k, x: np.exp(x),
-                           max_order=None)
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1))
         assert dd_recursive(f, [0.0, 0.0, 0.0]) == pytest.approx(0.5, rel=1e-14)
 
     def test_single_node_is_value(self, mix):
         assert dd_recursive(mix, [0.4]) == pytest.approx(mix(0.4), rel=1e-15)
 
     def test_matches_hermite_mc(self):
-        f = SmoothFunction(eval_fn=np.exp, deriv_fn=lambda k, x: np.exp(x),
-                           max_order=None)
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1))
         nodes = [0.3, 1.1, 2.0]
         ref = dd_recursive(f, nodes)
         est, err = dd_hermite_mc(f, nodes, 200_000, seed=5)
         assert abs(est - ref) < 3.0 * err
 
     def test_insufficient_order_raises(self):
-        f = SmoothFunction(eval_fn=np.exp, deriv_fn=lambda k, x: np.exp(x),
-                           max_order=1)
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=1)
         with pytest.raises(DerivativeOrderError):
             dd_recursive(f, [0.0, 0.0, 0.0])
 
@@ -169,8 +166,7 @@ class TestHermiteMC:
         assert err == pytest.approx(0.0, abs=1e-14)
 
     def test_exp_unit_interval(self):
-        f = SmoothFunction(eval_fn=np.exp, deriv_fn=lambda k, x: np.exp(x),
-                           max_order=None)
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1))
         est, err = dd_hermite_mc(f, [0.0, 1.0], 100_000, seed=2)
         assert abs(est - (math.e - 1.0)) < 3.0 * err
 
@@ -293,8 +289,7 @@ class TestChainGeneric:
             dd_recursive(mix, nodes), rel=1e-12)
 
     def test_two_nodes_equals_chain_square(self):
-        f = SmoothFunction(eval_fn=np.exp, deriv_fn=lambda k, x: np.exp(x),
-                           max_order=None)
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1))
         nodes = [0.5, 1.5]
         a = dd_chain_generic(f, square_function(), nodes)
         b = dd_chain_square(f, nodes)
@@ -419,7 +414,8 @@ class TestMultisetDivDiff:
         "exp-decay": exp_decay(1.3),
         "steep-t40": make_gaussian_mixture([(40.0, 1.0)]),
         "finite-order": SmoothFunction(
-            eval_fn=np.sin, deriv_fn=lambda k, x: np.sin(np.asarray(x) + k * np.pi / 2),
+            ladder_fn=lambda k, x: [np.sin(np.asarray(x) + j * np.pi / 2)
+                                    for j in range(k + 1)],
             max_order=3),
     }
 

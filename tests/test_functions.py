@@ -110,15 +110,18 @@ class TestDerivativeShift:
 
 
 class TestDerivLadder:
-    """The ladder must equal the per-order derivatives bit for bit."""
+    """A ladder at a real scalar is the same ladder on a real array, entry
+    by entry and bit for bit, and stays on Python floats."""
 
     @staticmethod
     def assert_exact(f, k_max, xs):
-        for x in xs:
-            ladder = f.deriv_ladder(k_max, x)
+        rows = f.deriv_ladder(k_max, np.asarray(xs, dtype=float))
+        for i, x in enumerate(xs):
+            ladder = f.deriv_ladder(k_max, float(x))
             assert len(ladder) == k_max + 1
             for j in range(k_max + 1):
-                assert ladder[j] == float(f.deriv(j, x)), (x, j)
+                assert type(ladder[j]) is float
+                assert ladder[j] == rows[j][i], (x, j)
 
     def test_mixture_and_its_derivatives(self):
         rng = make_rng(7)
@@ -127,39 +130,42 @@ class TestDerivLadder:
         self.assert_exact(f, 40, xs)
         self.assert_exact(f.derivative(), 40, xs)
         self.assert_exact(f.derivative().derivative(), 40, xs)
+        self.assert_exact(f.square_companion, 40, np.abs(xs))
 
     def test_exp_decay(self):
         xs = make_rng(8).uniform(-1.0, 9.0, size=25)
         self.assert_exact(exp_decay(0.7), 30, xs)
         self.assert_exact(exp_decay(40.0), 30, xs)
 
-    def test_polynomial_fallback(self):
+    def test_polynomial(self):
         p = polynomial_function([1.0, -0.5, 0.25, 2.0, -1.5])
-        assert p.ladder_fn is None
         self.assert_exact(p, 7, [-1.3, 0.0, 0.4, 2.2])
 
     def test_order_checks(self, mix):
         assert mix.deriv_ladder(0, 0.3) == [mix(0.3)]
         with pytest.raises(ValueError):
             mix.deriv_ladder(-1, 0.3)
-        f = SmoothFunction(eval_fn=np.exp, deriv_fn=lambda k, x: np.exp(x), max_order=2)
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=2)
         with pytest.raises(DerivativeOrderError):
             f.deriv_ladder(3, 0.0)
+
+    def test_real_ladder_has_no_complex_extension(self):
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.abs(x)] * (k + 1))
+        with pytest.raises(ValueError, match="complex"):
+            f.deriv_complex(1, 0.5 + 0.5j)
+        with pytest.raises(ValueError, match="complex"):
+            f.eval_complex(np.array([0.5, 1.0j]))
 
 
 class TestCallerTable:
     def test_max_order_enforced(self):
-        f = SmoothFunction(
-            eval_fn=np.exp,
-            deriv_fn=lambda k, x: np.exp(x),
-            max_order=2,
-        )
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=2)
         f.require_order(2)
         with pytest.raises(DerivativeOrderError):
             f.require_order(3)
 
     def test_derivative_of_exhausted_table(self):
-        f = SmoothFunction(eval_fn=np.exp, deriv_fn=lambda k, x: np.exp(x), max_order=0)
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=0)
         with pytest.raises(DerivativeOrderError):
             f.derivative()
 

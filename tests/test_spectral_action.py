@@ -226,8 +226,7 @@ class TestExpand:
 
     def test_bracket_route_needs_measure(self, spec4, herm4):
         from specact.functions import SmoothFunction
-        bare = SmoothFunction(eval_fn=np.exp,
-                              deriv_fn=lambda k, x: np.exp(x), max_order=None)
+        bare = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1))
         with pytest.raises(ValueError):
             expand(spec4, herm4, bare, n_max=1, route="bracket")
 
