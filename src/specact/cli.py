@@ -550,9 +550,16 @@ def cmd_divdiff(args) -> int:
         f = make_gaussian_mixture(atoms)
     except ValueError as exc:
         raise ConfigError(f"--atoms: {exc}") from exc
-    for _ in range(args.deriv):
-        f = f.derivative()
-    value = dd_recursive(f, nodes)
+    f = f.derivative(args.deriv)
+    # a high enough order overflows the Hermite ladder: its series cannot
+    # converge, a power overflows, or the value comes out non-finite
+    try:
+        with np.errstate(all="ignore"):
+            value = dd_recursive(f, nodes)
+    except (RuntimeError, OverflowError) as exc:
+        raise ConfigError(f"--deriv: order {args.deriv} is out of range ({exc})") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"--deriv: order {args.deriv} is out of range (value {value})")
     print(format(value, ".17g"))
     return 0
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, groupby
 from typing import Sequence
 
 import numpy as np
@@ -380,22 +380,33 @@ def dd_chain_generic(
 
 
 class MultisetDivDiff:
-    """Cached confluent divided differences over a fixed value list.
+    """Confluent divided differences over a fixed value list, built one
+    multiset size at a time.
 
     The values are clustered once at ``merge_tol`` (default rule); a
     divided difference is then looked up by an index tuple into the
-    original list, with the cache keyed by the sorted cluster-id multiset,
-    so permutations and degenerate values share entries.  This is the
+    original list, keyed by the sorted cluster-id multiset, so
+    permutations and degenerate values share entries.  This is the
     workhorse behind the tuple-sum tensors of the trace expansions.
 
-    A multiset whose end nodes lie more than SERIES_SPAN apart (any
-    distinct ends when f has finite order) is one Newton step from its two
-    one-smaller sub-multisets, f[x_0..x_n] = (f[x_1..x_n] -
-    f[x_0..x_{n-1}]) / (x_n - x_0), both taken from the cache; narrow,
-    confluent and single-node multisets go to dd_recursive.  This is the
-    table dd_recursive builds, with every sub-block evaluated once per
-    instance, so each value equals dd_recursive on the same nodes bit for
-    bit.
+    Level s holds every size-s multiset in combinations_with_replacement
+    order (their base-K codes ascend, K clusters) and one value array.
+    Level 1 is f at the cluster nodes; level s comes from level s - 1 in
+    three array steps:
+
+      * a multiset whose end nodes lie more than SERIES_SPAN apart (any
+        distinct ends when f has finite order) is one Newton step,
+        (V[tail] - V[head]) / (x_last - x_first), from its two one-smaller
+        sub-multisets;
+      * a confluent one (a single node s times) is f^{(s-1)}(x)/(s-1)!,
+        from one derivative ladder over all nodes;
+      * a narrow one is the centered series, summed for all rows at once.
+
+    These are the blocks dd_recursive builds, so each value equals
+    dd_recursive on the same nodes bit for bit.  A level that needs a
+    derivative order past ``max_order`` is still built; looking up one of
+    its multisets that needs that order raises DerivativeOrderError.
+    ``evaluations`` counts the multisets each path has evaluated.
     """
 
     def __init__(self, fn: SmoothFunction, values, merge_tol: float | None = None):
@@ -409,22 +420,78 @@ class MultisetDivDiff:
         self.cluster_of = np.empty(vals.size, dtype=int)
         self.cluster_of[order] = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
         self.rep = np.array([_representative(run) for run in runs])
-        self._cache: dict[tuple[int, ...], float] = {}
+        # level s at index s
+        k = len(runs)
+        self._keys = [None, np.arange(k)[:, None]]
+        self._codes = [None, np.arange(k)]
+        self._values = [None, np.asarray(fn(self.rep), dtype=float)]
+        self._counts = {"node": k, "ladder": 0, "series": 0, "newton": 0}
+
+    @property
+    def evaluations(self) -> dict[str, int]:
+        """Distinct multisets evaluated so far, by path: single node,
+        derivative ladder, centered series and Newton step."""
+        return dict(self._counts)
 
     def value(self, idx: Sequence[int]) -> float:
         return self._evaluate(tuple(sorted(self.cluster_of[i] for i in idx)))
 
     def _evaluate(self, key: tuple[int, ...]) -> float:
         """Divided difference over the sorted cluster-id multiset ``key``."""
-        hit = self._cache.get(key)
-        if hit is None:
-            lo, hi = self.rep[key[0]], self.rep[key[-1]]
-            if key[0] != key[-1] and (self.fn.max_order is not None or hi - lo > SERIES_SPAN):
-                hit = (self._evaluate(key[1:]) - self._evaluate(key[:-1])) / float(hi - lo)
-            else:
-                hit = dd_recursive(self.fn, NodeList(tuple(self.rep[list(key)]), merge_tol=0.0))
-            self._cache[key] = hit
-        return hit
+        if self.fn.max_order is not None:
+            self.fn.require_order(max(len(list(run)) for _, run in groupby(key)) - 1)
+        codes, values = self._level(len(key))
+        code = 0
+        for c in key:
+            code = code * len(self.rep) + int(c)
+        return float(values[np.searchsorted(codes, code)])
+
+    def _level(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Codes and values of every size-``size`` multiset."""
+        while len(self._values) <= size:
+            self._extend()
+        return self._codes[size], self._values[size]
+
+    def _extend(self) -> None:
+        """Build the next level from the largest one held."""
+        k = len(self.rep)
+        s = len(self._values)
+        prev_keys, prev_codes, prev_values = self._keys[-1], self._codes[-1], self._values[-1]
+        # each key of level s - 1 gains one last id >= its own last one, in
+        # ascending order; the key it extends is its head, key[:-1]
+        last = prev_keys[:, -1]
+        grow = k - last
+        head = np.repeat(np.arange(len(prev_keys)), grow)
+        new = np.arange(len(head)) - np.repeat(np.cumsum(grow) - grow, grow) + last[head]
+        keys = np.column_stack((prev_keys[head], new))
+        codes = prev_codes[head] * k + new
+        self._keys.append(keys)
+        self._codes.append(codes)
+        first, lo, hi = keys[:, 0], self.rep[keys[:, 0]], self.rep[new]
+        values = np.empty(len(keys))
+        confluent = first == new
+        if self.fn.max_order is None:
+            wide = hi - lo > SERIES_SPAN
+            narrow = ~(wide | confluent)
+            if narrow.any():
+                values[narrow] = _dd_series_rows(self.fn, self.rep[keys[narrow]])
+                self._counts["series"] += int(np.count_nonzero(narrow))
+        else:
+            wide = ~confluent
+        # the tail key[1:] drops the leading digit of the code
+        tail = np.searchsorted(prev_codes, codes[wide] - first[wide] * k ** (s - 1))
+        values[wide] = (prev_values[tail] - prev_values[head[wide]]) / (hi[wide] - lo[wide])
+        self._counts["newton"] += len(tail)
+        if self.fn.max_order is not None and s - 1 > self.fn.max_order:
+            # never read: _evaluate and _scatter raise first
+            values[confluent] = np.nan
+        else:
+            inv_fact = 1.0
+            for j in range(1, s):
+                inv_fact /= j
+            values[confluent] = self.fn.deriv_ladder(s - 1, self.rep)[s - 1] * inv_fact
+            self._counts["ladder"] += k
+        self._values.append(values)
 
     def tensor(self, slots: int) -> np.ndarray:
         """Dense array T[i_0...i_{slots-1}] of divided-difference values."""
@@ -436,41 +503,85 @@ class MultisetDivDiff:
         return self._scatter(slots, doubled=True)
 
     def _scatter(self, slots: int, doubled: bool) -> np.ndarray:
-        """Evaluate each multiset of cluster ids that occurs once, then
-        scatter the values over the index grid in bulk.
+        """Scatter one level's values over the index grid in bulk.
 
-        The multisets are enumerated in lexicographic order, so their
-        base-K codes (K clusters) ascend; a grid row's cluster ids are
-        sorted, encoded and located by searchsorted.  The grid is built one
-        leading index at a time, so the transient index arrays hold
-        dim^(slots-1) rows, not dim^slots.
+        A grid row's cluster ids are sorted, encoded and located by
+        searchsorted in the level's ascending codes.  The trailing slots'
+        ids are sorted once by a compare-exchange network on whole
+        columns; each leading index is then merged in by one more pass, so
+        the transient arrays hold dim^(slots-1) rows, not dim^slots.
         """
-        k = len(self.rep)
-        keys = list(combinations_with_replacement(range(k), slots))
-        if doubled:
-            keys = sorted({tuple(sorted(key + (x,))) for key in keys for x in set(key)})
         size = slots + doubled
-        values = np.array([self._evaluate(key) for key in keys])
-        codes = np.array(keys, dtype=np.int64) @ (k ** np.arange(size - 1, -1, -1, dtype=np.int64))
-
+        self.fn.require_order(size - 1)
+        codes, values = self._level(size)
+        k = len(self.rep)
         dim = len(self.cluster_of)
         ids = self.cluster_of.astype(np.min_scalar_type(k))
-        # trailing slots' cluster ids; column 0 is the leading slot's
-        grid = np.empty((dim,) * (slots - 1) + (size,), dtype=ids.dtype)
-        for axis in range(slots - 1):
-            grid[..., axis + 1] = ids.reshape((dim,) + (1,) * (slots - 2 - axis))
+        shape = (dim,) * (slots - 1)
+        cols = [
+            np.broadcast_to(ids.reshape((dim,) + (1,) * (slots - 2 - axis)), shape)
+            for axis in range(slots - 1)
+        ]
+        if doubled and slots > 1:
+            cols.append(cols[-1])
+        for stop in range(len(cols) - 1, 0, -1):
+            for j in range(stop):
+                a, b = cols[j], cols[j + 1]
+                cols[j], cols[j + 1] = np.minimum(a, b), np.maximum(a, b)
         out = np.empty((dim,) * slots)
         for lead in range(dim):
-            grid[..., 0] = ids[lead]
-            if doubled:
-                grid[..., slots] = grid[..., slots - 1]
-            rows = np.sort(grid.reshape(-1, size), axis=1)
-            code = rows[:, 0].astype(np.int64)
-            for col in range(1, size):
-                code *= k
-                code += rows[:, col]
-            out[lead] = values[np.searchsorted(codes, code)].reshape(out.shape[1:])
+            carry = ids[lead]
+            code = np.int64(0)
+            for col in cols:
+                code = code * k + np.minimum(carry, col)
+                carry = np.maximum(carry, col)
+            for _ in range(size - len(cols)):
+                code = code * k + carry
+            out[lead] = values[np.searchsorted(codes, code)]
         return out
+
+
+def _dd_series_rows(f: SmoothFunction, zs: np.ndarray) -> np.ndarray:
+    """_dd_series on every row of ``zs`` at once.
+
+    Each row sums the same terms in the same order as the scalar series
+    and stops at the term where it stops; stopped rows leave the working
+    arrays.
+    """
+    n = zs.shape[1] - 1
+    out = np.empty(len(zs))
+    live = np.arange(len(zs))
+    center = np.mean(zs, axis=1)
+    v = np.ascontiguousarray((zs - center[:, None]).T)
+    h = np.ones_like(v)
+    coef = 1.0 / math.factorial(n)
+    ladder = np.array(f.deriv_ladder(n + SERIES_LADDER, center))
+    total = ladder[n] * coef
+    scale = np.abs(total)
+    small = np.zeros(len(zs), dtype=int)
+    for k in range(1, 200):
+        coef /= n + k
+        prev = v[0] * h[0]
+        h[0] = prev
+        for m in range(1, n + 1):
+            prev = prev + v[m] * h[m]
+            h[m] = prev
+        if n + k >= len(ladder):
+            ladder = np.array(f.deriv_ladder(min(2 * (len(ladder) - 1), n + 199), center))
+        term = ladder[n + k] * coef * h[n]
+        total += term
+        scale = np.maximum(scale, np.abs(total))
+        small = np.where(np.abs(term) <= 1e-17 * scale + 1e-300, small + 1, 0)
+        done = small >= 2
+        if done.any():
+            out[live[done]] = total[done]
+            keep = ~done
+            live, center, total = live[keep], center[keep], total[keep]
+            scale, small = scale[keep], small[keep]
+            v, h, ladder = v[:, keep], h[:, keep], ladder[:, keep]
+            if not len(live):
+                return out
+    raise RuntimeError("divided-difference series did not converge")
 
 
 def dd_derivative_sum(f: SmoothFunction, nodes: NodeList | Sequence[float]) -> float:

@@ -120,14 +120,19 @@ class SmoothFunction:
     def eval_complex(self, z):
         return self.deriv_complex(0, z)
 
-    def derivative(self) -> "SmoothFunction":
-        """The derivative as a SmoothFunction (orders shift down by one)."""
-        if self.max_order is not None and self.max_order < 1:
-            raise DerivativeOrderError("no derivative available beyond order 0")
+    def derivative(self, times: int = 1) -> "SmoothFunction":
+        """The ``times``-th derivative as a SmoothFunction: one ladder,
+        its orders shifted down by ``times``."""
+        if times < 0:
+            raise ValueError(f"derivative count must be >= 0, got {times}")
+        if self.max_order is not None and self.max_order < times:
+            raise DerivativeOrderError(
+                f"no derivative available beyond order {self.max_order}"
+            )
         ladder = self.ladder_fn
         return SmoothFunction(
-            ladder_fn=lambda k, x: ladder(k + 1, x)[1:],
-            max_order=None if self.max_order is None else self.max_order - 1,
+            ladder_fn=lambda k, x: ladder(k + times, x)[times:],
+            max_order=None if self.max_order is None else self.max_order - times,
         )
 
 

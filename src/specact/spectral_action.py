@@ -146,10 +146,17 @@ def taylor_term_bracket_form(
         raise ValueError(f"order must be >= 1, got {n}")
     mat = require_hermitian(a, spec.dim)
     _check_budget(spec.dim, n + 1, budget)
+    return _bracket_term(n, spec, mat, mu, [_exp_divdiff(spec, t) for t, _ in mu])
+
+
+def _bracket_term(
+    n: int, spec: Spectrum, mat: np.ndarray, mu: DiscreteMeasure, tables: list[MultisetDivDiff]
+) -> float:
+    """The order-n bracket sum over one e^{-tu} table per atom of mu,
+    shared by every order of expand."""
     anti = anticommutator_with_d(spec, mat)
     sq = mat @ mat
     eye = np.eye(spec.dim, dtype=complex)
-    tables = [_exp_divdiff(spec, t) for t, _ in mu]
     total = 0.0j
     # one tensor per atom for each bracket length k; the (-1)^k of the sum
     # cancels the (-1)^k of the closed bracket form
@@ -338,13 +345,15 @@ def expand(
     contribs = [taylor_term(0, spec, mat, f)]
     if route == "dd" and n_max >= 1:
         table = MultisetDivDiff(f.derivative(), spec.eigenvalues)
+    if route == "bracket":
+        tables = [_exp_divdiff(spec, t) for t, _ in f.measure]
     for n in range(1, n_max + 1):
         if route == "dd":
             c = _dd_term(n, mat, table)
         elif route == "theorem":
             c = taylor_term_theorem_form(n, spec, mat, f, budget=budget) / n
         elif route == "bracket":
-            c = taylor_term_bracket_form(n, spec, mat, f.measure, budget=budget)
+            c = _bracket_term(n, spec, mat, f.measure, tables)
         elif route == "contour":
             c = taylor_term_contour(n, spec, mat, f, contour=contour)
         else:

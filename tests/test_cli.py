@@ -322,6 +322,25 @@ class TestDivdiffCommand:
         # f'(x) = -2x e^{-x^2}
         assert float(out) == pytest.approx(-1.0 * math.exp(-0.25), rel=1e-14)
 
+    @pytest.mark.parametrize("nodes, atoms, deriv", [
+        ("1,1.2", "1:1", "300"),   # the centered series cannot converge
+        ("1,1.2", "1:1", "5000"),  # once 5000 nested derivative wrappers
+        ("0.5", "4:1", "2000"),    # (-2)^k overflows a Python float
+        ("1,3", "1:1", "300"),     # the Hermite ladder overflows to nan
+    ])
+    def test_out_of_range_deriv_exits_2(self, capsys, nodes, atoms, deriv):
+        assert main(["divdiff", "--nodes", nodes, "--atoms", atoms,
+                     "--deriv", deriv]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --deriv" in err and "Traceback" not in err
+
+    def test_high_deriv_matches_library(self, capsys):
+        assert main(["divdiff", "--nodes", "1,1.2", "--atoms", "1:1",
+                     "--deriv", "40"]) == 0
+        out = capsys.readouterr().out.strip()
+        mix = make_gaussian_mixture([(1.0, 1.0)])
+        assert float(out) == dd_recursive(mix.derivative(40), [1.0, 1.2])
+
     def test_bad_atoms_exit_2(self, capsys):
         assert main(["divdiff", "--nodes", "1,2", "--atoms", "oops"]) == 2
         assert "config error" in capsys.readouterr().err

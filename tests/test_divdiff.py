@@ -370,6 +370,8 @@ class TestMultisetDivDiff:
         # Dirac +/- pairs collide once squared
         "dirac-squares": np.array([-1.5, -0.5, 0.5, 1.5]) ** 2,
         "distinct": np.array([-1.7, -0.6, 0.05, 0.3, 1.9]),
+        # end gaps of exactly SERIES_SPAN sit on the series side of the split
+        "series-boundary": np.array([-0.25, 0.25, 0.75, 1.7]),
     }
 
     @pytest.mark.parametrize("name", sorted(SPECTRA))
@@ -391,23 +393,25 @@ class TestMultisetDivDiff:
     def test_each_multiset_evaluated_once(self, mix, monkeypatch):
         import specact.divdiff as divdiff_module
 
-        calls = []
-        real = divdiff_module.dd_recursive
+        def refuse(f, nodes):
+            raise AssertionError("a table build called dd_recursive")
 
-        def counting(f, nodes):
-            calls.append(nodes.nodes)
-            return real(f, nodes)
-
-        monkeypatch.setattr(divdiff_module, "dd_recursive", counting)
+        monkeypatch.setattr(divdiff_module, "dd_recursive", refuse)
         table = MultisetDivDiff(mix, self.SPECTRA["merged"])
         assert len(table.rep) == 4
         table.tensor(4)
-        assert len(set(calls)) == len(calls)
-        # all C(4 + 4 - 1, 4) order-4 multisets are cached
-        assert all(key in table._cache for key in combinations_with_replacement(range(4), 4))
-        count = len(calls)
+        counts = table.evaluations
+        # each multiset of 1..4 of the 4 clusters, C(4 + s - 1, s) of size s,
+        # evaluated exactly once: 4 + 10 + 20 + 35, of which 4 single nodes
+        # and 4 confluent multisets per size from 2 up
+        assert sum(counts.values()) == 69
+        assert counts["node"] == 4 and counts["ladder"] == 12
+        assert counts["series"] > 0 and counts["newton"] > 0
+        # every order-4 multiset is held, and a second tensor evaluates nothing
+        for key in combinations_with_replacement(range(4), 4):
+            table._evaluate(key)
         table.tensor(4)
-        assert len(calls) == count
+        assert table.evaluations == counts
 
     FUNCTIONS = {
         "mixture-derivative": make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)]).derivative(),

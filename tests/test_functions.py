@@ -104,6 +104,21 @@ class TestDerivativeShift:
         assert np.allclose(fp(xs), mix.deriv(1, xs), rtol=1e-14)
         assert np.allclose(fp.deriv(2, xs), mix.deriv(3, xs), rtol=1e-14)
 
+    def test_repeated_shift_is_one_shift(self, mix):
+        xs = np.linspace(-2, 2, 9)
+        once = mix.derivative(3)
+        thrice = mix.derivative().derivative().derivative()
+        for got, ref in zip(once.deriv_ladder(6, xs), thrice.deriv_ladder(6, xs)):
+            assert np.array_equal(got, ref)
+
+    def test_shift_past_max_order_raises(self):
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=2)
+        assert f.derivative(2).max_order == 0
+        with pytest.raises(DerivativeOrderError):
+            f.derivative(3)
+        with pytest.raises(ValueError):
+            f.derivative(-1)
+
     def test_deriv_zero_is_eval(self, mix):
         xs = np.linspace(-2, 2, 9)
         assert np.allclose(mix.deriv(0, xs), mix(xs), rtol=0, atol=0)

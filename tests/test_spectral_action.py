@@ -193,6 +193,11 @@ class TestExpand:
         # one shared table gives each order's value bit for bit
         for n in range(1, 7):
             assert report.contributions[n] == taylor_term(n, spec, a, mix_single), n
+        # and one shared table per atom on the bracket route
+        bracket = expand(spec, a, mix_single, n_max=6, route="bracket")
+        for n in range(1, 7):
+            ref = taylor_term_bracket_form(n, spec, a, mix_single.measure)
+            assert bracket.contributions[n] == ref, n
         remainder = abs(report.exact - sum(report.contributions))
         assert remainder <= 1e-6 * max(abs(report.exact), 1e-30)
         assert report.scaling_exponent is not None
