@@ -36,6 +36,7 @@ from .functions import DiscreteMeasure, make_gaussian_mixture
 from .operator_model import (
     DEFAULT_TUPLE_BUDGET,
     Spectrum,
+    _check_budget,
     band_hermitian,
     bracket_identity_check,
     dirac_circle_spectrum,
@@ -107,7 +108,7 @@ def _number(section: dict, key: str, where: str, kind: type = float,
     ``positive`` also rules out zero.  Anything else is a ConfigError."""
     value = _require(section, key, where) if default is None else section.get(key, default)
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):
             raise TypeError
         number = kind(value)
         ok = (math.isfinite(number) and number == float(value)
@@ -208,10 +209,14 @@ def build_perturbation(section: dict, spec: Spectrum, override: int | None) -> n
 
 def build_function(section: dict):
     atoms = _require(section, "atoms", "function")
-    try:
-        pairs = [(float(rec["t"]), float(rec["w"])) for rec in atoms]
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigError("function.atoms: expected records with keys t, w") from exc
+    if not isinstance(atoms, list):
+        raise ConfigError(f"function.atoms: expected a list, got {atoms!r}")
+    entries = dict(enumerate(atoms))
+    pairs = []
+    for k in entries:
+        rec = _section(entries, k, "function.atoms")
+        where = f"function.atoms.{k}"
+        pairs.append((_number(rec, "t", where, positive=True), _number(rec, "w", where)))
     try:
         return make_gaussian_mixture(pairs)
     except ValueError as exc:
@@ -334,6 +339,12 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
     fd_tol = _number(section, "fd_tol", "verify", default=1e-4, positive=True)
     epsilon_n_max = _number(section, "epsilon_n_max", "verify", int, default=10)
     seed = _seed_of(section, "verify", override) if checks else 0
+    # the largest tuple sums the checks can draw (the unit insertion adds
+    # one operator to a bracket of n_max + 1)
+    if "route-agreement" in checks:
+        _check_budget(dim_max, n_max, DEFAULT_TUPLE_BUDGET)
+    if "bracket-identities" in checks:
+        _check_budget(dim_max, n_max + 2, DEFAULT_TUPLE_BUDGET)
 
     rows: list[list] = []
 
@@ -513,6 +524,8 @@ def cmd_bench(cfg: dict, out_dir: str, override: int | None) -> int:
     seed = _seed_of(section, "bench", override) if section else 0
     rng = make_rng(seed, stream=21)
     f = make_gaussian_mixture([(1.0, 1.0)])
+    if dims and orders:
+        _check_budget(max(dims), max(orders), DEFAULT_TUPLE_BUDGET)
 
     rows = []
     for dim in dims:

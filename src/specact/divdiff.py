@@ -12,8 +12,8 @@ Independent evaluation routes implemented here:
   * dd_hermite_mc  -- Monte Carlo over the simplex of the Hermite-Genocchi
     integral representation f[x_0..x_n] = int_{Delta_n} f^{(n)}(s.x) d^n s
   * dd_contour     -- trapezoid discretization of the Cauchy formula
-    (1/2 pi i) oint f(z) / prod_i (z - x_i) dz on a CircleContour around
-    the nodes (the resolvent route of the expansion uses the same circle)
+    (1/2 pi i) oint f(z) / prod_i (z - x_i) dz on a circle around the
+    nodes (CircleContour, whose quadrature the resolvent route shares)
   * dd_chain_square / dd_chain_generic -- composite-function chain rules
     summing over index chains 0 = i_0 < ... < i_k = n
   * dd_derivative_sum -- sum_i f[x_0,..,x_i,x_i,..,x_n] = f'[x_0,..,x_n]
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -182,21 +182,17 @@ def _dd_series(f: SmoothFunction, zs: np.ndarray) -> float:
 def dd_recursive(f: SmoothFunction, nodes: NodeList | Sequence[float]) -> float:
     """Confluent Newton table value f[x_0, ..., x_n].
 
-    Coincident clusters feed f^{(j)}(x)/j! into the table; f must provide
-    derivatives up to (largest multiplicity - 1), taken from one
+    Coincident clusters feed f^{(j)}(x)/j! into the table, taken from one
     derivative ladder per cluster.  The result is symmetric under node
-    permutations because the table works on sorted nodes.  When f carries
-    derivatives of all orders, spans narrower than SERIES_SPAN are
-    evaluated by the centered series, so the recursion never divides by a
-    small gap.
+    permutations because the table works on sorted nodes.  Spans narrower
+    than SERIES_SPAN are evaluated by the centered series, so the
+    recursion never divides by a small gap.
     """
     nl = as_nodes(nodes)
     clusters = nl.clusters()
     z = np.array([value for value, mult in clusters for _ in range(mult)])
-    f.require_order(max(mult for _, mult in clusters) - 1)
     m = len(z)
-    series_ok = f.max_order is None
-    if series_ok and m > 1 and z[-1] - z[0] <= SERIES_SPAN and z[-1] > z[0]:
+    if m > 1 and z[-1] - z[0] <= SERIES_SPAN and z[-1] > z[0]:
         return _dd_series(f, z)
     ladders = {value: f.deriv_ladder(mult - 1, value) for value, mult in clusters if mult > 1}
     col = np.asarray(f(z), dtype=float)
@@ -211,7 +207,7 @@ def dd_recursive(f: SmoothFunction, nodes: NodeList | Sequence[float]) -> float:
         for i in range(m - j):
             if zl[i + j] == zl[i]:
                 new[i] = ladders[zl[i]][j] * inv_fact
-            elif series_ok and zl[i + j] - zl[i] <= SERIES_SPAN:
+            elif zl[i + j] - zl[i] <= SERIES_SPAN:
                 new[i] = _dd_series(f, z[i : i + j + 1])
             else:
                 new[i] = (col[i + 1] - col[i]) / (zl[i + j] - zl[i])
@@ -233,7 +229,6 @@ def dd_hermite_mc(
     """
     nl = as_nodes(nodes)
     n = nl.order
-    f.require_order(n)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = make_rng(seed)
@@ -250,29 +245,47 @@ def dd_hermite_mc(
 
 @dataclass(frozen=True)
 class CircleContour:
-    """Circle |z - center| = radius sampled at equispaced points."""
+    """Ellipse center + radius cos(theta) + i imag_radius sin(theta) at
+    equispaced theta; a circle when ``imag_radius`` is None.  The
+    trapezoid rule (1/2 pi i) oint g dz = mean(g(nodes) * weights())
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
 
     center: float
     radius: float
     points: int = 512
+    imag_radius: float | None = None
 
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.points < 2:
             raise ValueError(f"need at least 2 points, got {self.points}")
+        if self.imag_radius is None:
+            object.__setattr__(self, "imag_radius", self.radius)
+        elif not self.imag_radius > 0.0:
+            raise ValueError(f"imaginary semi-axis must be positive, got {self.imag_radius}")
 
     @classmethod
-    def enclosing(cls, spec, margin: float = 1.0, points: int = 512) -> "CircleContour":
-        """Circle around a Spectrum's eigenvalues, ``margin`` past the ends."""
+    def enclosing(cls, spec) -> "CircleContour":
+        """Ellipse through lam_min - 1 and lam_max + 1, imaginary semi-axis
+        1: a Gaussian stays below e on it at any spectral width, where on
+        the enclosing circle it grows like e^{r^2}."""
         lam = spec.eigenvalues
         center = 0.5 * float(lam[0] + lam[-1])
-        radius = 0.5 * float(lam[-1] - lam[0]) + margin
-        return cls(center=center, radius=radius, points=points)
+        radius = 0.5 * float(lam[-1] - lam[0]) + 1.0
+        return cls(center=center, radius=radius, imag_radius=1.0)
+
+    def _angles(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.points) / self.points
 
     def nodes(self) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(self.points) / self.points
-        return self.center + self.radius * np.exp(1j * theta)
+        theta = self._angles()
+        return self.center + self.radius * np.cos(theta) + 1j * self.imag_radius * np.sin(theta)
+
+    def weights(self) -> np.ndarray:
+        """dz/dtheta divided by i at each node."""
+        theta = self._angles()
+        return self.imag_radius * np.cos(theta) + 1j * self.radius * np.sin(theta)
 
     def require_inside(self, xs) -> None:
         """Raise unless every real point of ``xs`` lies strictly inside."""
@@ -302,7 +315,7 @@ def dd_contour(
     z = circle.nodes()
     denom = np.prod(z[:, None] - xs[None, :], axis=1)
     vals = np.asarray(f.eval_complex(z), dtype=complex)
-    return float(np.mean(vals * (z - center) / denom).real)
+    return float(np.mean(vals * circle.weights() / denom).real)
 
 
 def step_bitstrings(n: int) -> list[tuple[int, ...]]:
@@ -394,19 +407,16 @@ class MultisetDivDiff:
     Level 1 is f at the cluster nodes; level s comes from level s - 1 in
     three array steps:
 
-      * a multiset whose end nodes lie more than SERIES_SPAN apart (any
-        distinct ends when f has finite order) is one Newton step,
-        (V[tail] - V[head]) / (x_last - x_first), from its two one-smaller
-        sub-multisets;
+      * a multiset whose end nodes lie more than SERIES_SPAN apart is one
+        Newton step, (V[tail] - V[head]) / (x_last - x_first), from its
+        two one-smaller sub-multisets;
       * a confluent one (a single node s times) is f^{(s-1)}(x)/(s-1)!,
         from one derivative ladder over all nodes;
       * a narrow one is the centered series, summed for all rows at once.
 
     These are the blocks dd_recursive builds, so each value equals
-    dd_recursive on the same nodes bit for bit.  A level that needs a
-    derivative order past ``max_order`` is still built; looking up one of
-    its multisets that needs that order raises DerivativeOrderError.
-    ``evaluations`` counts the multisets each path has evaluated.
+    dd_recursive on the same nodes bit for bit.  ``evaluations`` counts
+    the multisets each path has evaluated.
     """
 
     def __init__(self, fn: SmoothFunction, values, merge_tol: float | None = None):
@@ -438,8 +448,6 @@ class MultisetDivDiff:
 
     def _evaluate(self, key: tuple[int, ...]) -> float:
         """Divided difference over the sorted cluster-id multiset ``key``."""
-        if self.fn.max_order is not None:
-            self.fn.require_order(max(len(list(run)) for _, run in groupby(key)) - 1)
         codes, values = self._level(len(key))
         code = 0
         for c in key:
@@ -470,27 +478,20 @@ class MultisetDivDiff:
         first, lo, hi = keys[:, 0], self.rep[keys[:, 0]], self.rep[new]
         values = np.empty(len(keys))
         confluent = first == new
-        if self.fn.max_order is None:
-            wide = hi - lo > SERIES_SPAN
-            narrow = ~(wide | confluent)
-            if narrow.any():
-                values[narrow] = _dd_series_rows(self.fn, self.rep[keys[narrow]])
-                self._counts["series"] += int(np.count_nonzero(narrow))
-        else:
-            wide = ~confluent
+        wide = hi - lo > SERIES_SPAN
+        narrow = ~(wide | confluent)
+        if narrow.any():
+            values[narrow] = _dd_series_rows(self.fn, self.rep[keys[narrow]])
+            self._counts["series"] += int(np.count_nonzero(narrow))
         # the tail key[1:] drops the leading digit of the code
         tail = np.searchsorted(prev_codes, codes[wide] - first[wide] * k ** (s - 1))
         values[wide] = (prev_values[tail] - prev_values[head[wide]]) / (hi[wide] - lo[wide])
         self._counts["newton"] += len(tail)
-        if self.fn.max_order is not None and s - 1 > self.fn.max_order:
-            # never read: _evaluate and _scatter raise first
-            values[confluent] = np.nan
-        else:
-            inv_fact = 1.0
-            for j in range(1, s):
-                inv_fact /= j
-            values[confluent] = self.fn.deriv_ladder(s - 1, self.rep)[s - 1] * inv_fact
-            self._counts["ladder"] += k
+        inv_fact = 1.0
+        for j in range(1, s):
+            inv_fact /= j
+        values[confluent] = self.fn.deriv_ladder(s - 1, self.rep)[s - 1] * inv_fact
+        self._counts["ladder"] += k
         self._values.append(values)
 
     def tensor(self, slots: int) -> np.ndarray:
@@ -511,8 +512,9 @@ class MultisetDivDiff:
         columns; each leading index is then merged in by one more pass, so
         the transient arrays hold dim^(slots-1) rows, not dim^slots.
         """
+        if slots < 1:
+            raise ValueError(f"need at least one slot, got {slots}")
         size = slots + doubled
-        self.fn.require_order(size - 1)
         codes, values = self._level(size)
         k = len(self.rep)
         dim = len(self.cluster_of)

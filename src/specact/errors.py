@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DerivativeOrderError(ValueError):
-    """A derivative order was requested beyond what the function provides."""
-
-
 class BudgetExceededError(RuntimeError):
     """An index-tuple enumeration would exceed the configured budget."""
 

@@ -27,8 +27,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DerivativeOrderError
-
 __all__ = [
     "DiscreteMeasure",
     "SmoothFunction",
@@ -74,19 +72,18 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """A scalar function with derivatives available up to ``max_order``.
+    """A scalar function with derivatives of every order.
 
     ``ladder_fn(k, x)`` is the one derivative source: it returns
     [f(x), f'(x), ..., f^(k)(x)] at a float, a real array or a complex
-    array, every entry of an array being what the float would give.  A
-    ladder that returns real values at complex points has no complex
-    extension, and contour-based routines reject it.  ``max_order=None``
-    means every order is exact.  ``square_companion`` is an optional g
-    with f(x) = g(x^2), ``measure`` the optional inducing measure.
+    array, every entry of an array being what the float would give, for
+    every k >= 0.  A ladder that returns real values at complex points has
+    no complex extension, and contour-based routines reject it.
+    ``square_companion`` is an optional g with f(x) = g(x^2), ``measure``
+    the optional inducing measure.
     """
 
     ladder_fn: Callable
-    max_order: int | None = None
     square_companion: "SmoothFunction | None" = None
     measure: DiscreteMeasure | None = None
 
@@ -96,10 +93,6 @@ class SmoothFunction:
     def require_order(self, k: int) -> None:
         if k < 0:
             raise ValueError(f"derivative order must be >= 0, got {k}")
-        if self.max_order is not None and k > self.max_order:
-            raise DerivativeOrderError(
-                f"derivative order {k} requested but only {self.max_order} available"
-            )
 
     def deriv(self, k: int, x):
         self.require_order(k)
@@ -125,15 +118,8 @@ class SmoothFunction:
         its orders shifted down by ``times``."""
         if times < 0:
             raise ValueError(f"derivative count must be >= 0, got {times}")
-        if self.max_order is not None and self.max_order < times:
-            raise DerivativeOrderError(
-                f"no derivative available beyond order {self.max_order}"
-            )
         ladder = self.ladder_fn
-        return SmoothFunction(
-            ladder_fn=lambda k, x: ladder(k + times, x)[times:],
-            max_order=None if self.max_order is None else self.max_order - times,
-        )
+        return SmoothFunction(ladder_fn=lambda k, x: ladder(k + times, x)[times:])
 
 
 def _argument(x):

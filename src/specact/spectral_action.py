@@ -68,8 +68,6 @@ __all__ = [
 ]
 
 ROUTES = ("dd", "theorem", "bracket", "contour", "fd")
-# the tensor routes sum over dim^(n + shift) index tuples at order n
-TUPLE_EXPONENT_SHIFT = {"dd": 0, "theorem": 0, "bracket": 1}
 
 
 def action_exact(spec: Spectrum, a, f: SmoothFunction) -> float:
@@ -145,7 +143,7 @@ def taylor_term_bracket_form(
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     mat = require_hermitian(a, spec.dim)
-    _check_budget(spec.dim, n + 1, budget)
+    _check_budget(spec.dim, n, budget)
     return _bracket_term(n, spec, mat, mu, [_exp_divdiff(spec, t) for t, _ in mu])
 
 
@@ -153,17 +151,17 @@ def _bracket_term(
     n: int, spec: Spectrum, mat: np.ndarray, mu: DiscreteMeasure, tables: list[MultisetDivDiff]
 ) -> float:
     """The order-n bracket sum over one e^{-tu} table per atom of mu,
-    shared by every order of expand."""
+    shared by every order of expand.  The unit in <1, B_1, ..., B_k>
+    forces i_0 = i_1: the doubled tensor's last slot, so B_1 goes last."""
     anti = anticommutator_with_d(spec, mat)
     sq = mat @ mat
-    eye = np.eye(spec.dim, dtype=complex)
     total = 0.0j
     # one tensor per atom for each bracket length k; the (-1)^k of the sum
     # cancels the (-1)^k of the closed bracket form
     for k, group in groupby(step_bitstrings(n), key=len):
-        weights = [table.tensor(k + 1) for table in tables]
+        weights = [table.doubled_tensor(k) for table in tables]
         for bits in group:
-            ops = [eye] + [sq if b else anti for b in bits]
+            ops = [sq if b else anti for b in bits[1:] + bits[:1]]
             for (_, w), weight in zip(mu, weights):
                 total += w * _cyclic_contract(ops, weight)
     return float(total.real)
@@ -179,7 +177,8 @@ def taylor_term_contour(
     """Order-n term from the resolvent contour form.
 
     (1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz, discretized by
-    the trapezoid rule on the circle.  All eigenvalues must lie strictly
+    the trapezoid rule on the contour, by default the ellipse
+    CircleContour.enclosing builds.  All eigenvalues must lie strictly
     inside; f needs a complex-argument derivative.
     """
     if n < 1:
@@ -197,7 +196,7 @@ def taylor_term_contour(
         power = power @ m
     traces = np.einsum("pii->p", power)
     fprime = np.asarray(f.deriv_complex(1, z), dtype=complex)
-    value = np.mean(fprime * traces * (z - contour.center)) / n
+    value = np.mean(fprime * traces * contour.weights()) / n
     return float(value.real)
 
 
@@ -339,8 +338,9 @@ def expand(
     mat = require_hermitian(a, spec.dim)
     if route == "bracket" and f.measure is None:
         raise ValueError("bracket route needs a function carrying its measure")
-    if route in TUPLE_EXPONENT_SHIFT and n_max >= 1:
-        _check_budget(spec.dim, n_max + TUPLE_EXPONENT_SHIFT[route], budget)
+    # each tensor route sums dim^n index tuples at order n
+    if route in ("dd", "theorem", "bracket") and n_max >= 1:
+        _check_budget(spec.dim, n_max, budget)
 
     contribs = [taylor_term(0, spec, mat, f)]
     if route == "dd" and n_max >= 1:

@@ -69,6 +69,7 @@ class TestConfigErrors:
         ("run", "scaling_factors", [1, "x"]),
         ("run", "remainder_tol", "x"),
         ("perturbation", "seed", True),
+        ("spectrum", "dim", "4"),
     ])
     def test_bad_number_exits_2(self, tmp_path, capsys, section, key, value):
         cfg = json.loads(json.dumps(BASE_CFG))
@@ -102,6 +103,14 @@ class TestConfigErrors:
         ("bounds", "bounds", {"simplex": 5}, "bounds.simplex"),
         ("expand", "spectrum", 5, "spectrum"),
         ("expand", "perturbation", {"kind": "one-form", "terms": [5]}, "perturbation.terms.0"),
+        ("expand", "function", {"atoms": [{"t": True, "w": 1.0}]}, "function.atoms.0.t"),
+        ("expand", "function", {"atoms": [{"t": 1.0, "w": "2.5"}]}, "function.atoms.0.w"),
+        ("expand", "function", {"atoms": [{"t": 1.0, "w": 1.0}, {"t": -1.0, "w": 1.0}]},
+         "function.atoms.1.t"),
+        ("expand", "function", {"atoms": [{"w": 1.0}]}, "function.atoms.0"),
+        ("expand", "function", {"atoms": [5]}, "function.atoms.0"),
+        ("expand", "function", {"atoms": 5}, "function.atoms"),
+        ("expand", "function", {"atoms": []}, "function.atoms"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, command, section, value, where):
         path = write_cfg(tmp_path / "c.json", dict(BASE_CFG, **{section: value}))
@@ -253,6 +262,24 @@ class TestVerify:
         rows = read_csv(tmp_path / "verify.csv")
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("check,dim_max,n_max", [
+        ("route-agreement", 26, 5),     # 26^5 tuples at order 5
+        ("bracket-identities", 26, 3),  # 26^5: an order-3 bracket plus the unit
+    ])
+    def test_budget_checked_before_any_instance(self, tmp_path, capsys, monkeypatch,
+                                                check, dim_max, n_max):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was computed")
+
+        monkeypatch.setattr("specact.cli.taylor_term", refuse)
+        monkeypatch.setattr("specact.operator_model.bracket_dd", refuse)
+        cfg = dict(BASE_CFG, verify={"seed": 7, "checks": [check],
+                                     "dim_max": dim_max, "n_max": n_max})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 4
+        assert "budget exceeded" in capsys.readouterr().err
+        assert not (tmp_path / "verify.csv").exists()
+
     def test_seed_override_changes_instances(self, tmp_path):
         cfg = dict(BASE_CFG, verify={
             "seed": 7, "instances": 4, "checks": ["divdiff-triangle"],
@@ -305,6 +332,25 @@ class TestBench:
         assert got == [(3, 1, 3), (3, 2, 9), (3, 3, 27),
                        (5, 1, 5), (5, 2, 25), (5, 3, 125)]
         assert all(float(r[3]) >= 0.0 for r in rows[1:])
+
+    def test_budget_checked_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell was timed")
+
+        monkeypatch.setattr("specact.cli.taylor_term", refuse)
+        # 64^4 tuples in the last cell, over the default budget of 10^7
+        cfg = dict(BASE_CFG, bench={"dims": [6, 8, 64], "orders": [1, 2, 3, 4],
+                                    "seed": 4})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["bench", "--config", path, "--out", str(tmp_path)]) == 4
+        assert "budget exceeded" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_empty_grid_header_only(self, tmp_path):
+        cfg = dict(BASE_CFG, bench={"dims": [], "seed": 4})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["bench", "--config", path, "--out", str(tmp_path)]) == 0
+        assert read_csv(tmp_path / "bench.csv") == [["N", "n", "tuples", "seconds"]]
 
 
 class TestDivdiffCommand:

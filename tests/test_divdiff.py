@@ -21,7 +21,6 @@ from specact import (
     square_function,
     step_bitstrings,
 )
-from specact.errors import DerivativeOrderError
 from specact.functions import SmoothFunction
 from specact.rng import make_rng
 
@@ -88,11 +87,6 @@ class TestRecursive:
         ref = dd_recursive(f, nodes)
         est, err = dd_hermite_mc(f, nodes, 200_000, seed=5)
         assert abs(est - ref) < 3.0 * err
-
-    def test_insufficient_order_raises(self):
-        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=1)
-        with pytest.raises(DerivativeOrderError):
-            dd_recursive(f, [0.0, 0.0, 0.0])
 
     def test_confluent_pair_is_derivative(self, mix):
         assert dd_recursive(mix, [0.4, 0.4]) == pytest.approx(
@@ -337,6 +331,12 @@ class TestMultisetDivDiff:
         ref = dd_recursive(mix, [-1.1, 0.2, 1.4])
         assert got == pytest.approx(ref, rel=1e-12)
 
+    def test_rejects_zero_slots(self, mix):
+        table = MultisetDivDiff(mix, np.array([-1.1, 0.2, 1.4]))
+        for build in (table.tensor, table.doubled_tensor):
+            with pytest.raises(ValueError, match="slot"):
+                build(0)
+
     def test_degenerate_values_confluent(self, mix):
         table = MultisetDivDiff(mix, np.array([0.5, 0.5]))
         assert table.value((0, 1)) == pytest.approx(mix.deriv(1, 0.5), rel=1e-12)
@@ -417,10 +417,9 @@ class TestMultisetDivDiff:
         "mixture-derivative": make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)]).derivative(),
         "exp-decay": exp_decay(1.3),
         "steep-t40": make_gaussian_mixture([(40.0, 1.0)]),
-        "finite-order": SmoothFunction(
+        "sine": SmoothFunction(
             ladder_fn=lambda k, x: [np.sin(np.asarray(x) + j * np.pi / 2)
-                                    for j in range(k + 1)],
-            max_order=3),
+                                    for j in range(k + 1)]),
     }
 
     @pytest.mark.parametrize("fname", sorted(FUNCTIONS))
@@ -431,8 +430,4 @@ class TestMultisetDivDiff:
         for order in range(1, 6):
             for key in combinations_with_replacement(range(len(table.rep)), order + 1):
                 nodes = NodeList(tuple(table.rep[list(key)]), merge_tol=0.0)
-                if fn.max_order is not None and nodes.max_multiplicity - 1 > fn.max_order:
-                    with pytest.raises(DerivativeOrderError):
-                        table._evaluate(key)
-                else:
-                    assert table._evaluate(key) == dd_recursive(fn, nodes), key
+                assert table._evaluate(key) == dd_recursive(fn, nodes), key

@@ -13,7 +13,6 @@ from specact import (
     polynomial_function,
     square_function,
 )
-from specact.errors import DerivativeOrderError
 from specact.rng import make_rng
 
 
@@ -111,11 +110,8 @@ class TestDerivativeShift:
         for got, ref in zip(once.deriv_ladder(6, xs), thrice.deriv_ladder(6, xs)):
             assert np.array_equal(got, ref)
 
-    def test_shift_past_max_order_raises(self):
-        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=2)
-        assert f.derivative(2).max_order == 0
-        with pytest.raises(DerivativeOrderError):
-            f.derivative(3)
+    def test_negative_shift_raises(self):
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1))
         with pytest.raises(ValueError):
             f.derivative(-1)
 
@@ -160,9 +156,6 @@ class TestDerivLadder:
         assert mix.deriv_ladder(0, 0.3) == [mix(0.3)]
         with pytest.raises(ValueError):
             mix.deriv_ladder(-1, 0.3)
-        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=2)
-        with pytest.raises(DerivativeOrderError):
-            f.deriv_ladder(3, 0.0)
 
     def test_real_ladder_has_no_complex_extension(self):
         f = SmoothFunction(ladder_fn=lambda k, x: [np.abs(x)] * (k + 1))
@@ -170,19 +163,6 @@ class TestDerivLadder:
             f.deriv_complex(1, 0.5 + 0.5j)
         with pytest.raises(ValueError, match="complex"):
             f.eval_complex(np.array([0.5, 1.0j]))
-
-
-class TestCallerTable:
-    def test_max_order_enforced(self):
-        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=2)
-        f.require_order(2)
-        with pytest.raises(DerivativeOrderError):
-            f.require_order(3)
-
-    def test_derivative_of_exhausted_table(self):
-        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1), max_order=0)
-        with pytest.raises(DerivativeOrderError):
-            f.derivative()
 
 
 class TestBuiltins:

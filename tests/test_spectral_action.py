@@ -125,9 +125,20 @@ class TestTaylorTerm:
         monkeypatch.setattr(MultisetDivDiff, "__init__", refuse)
         spec = linear_spectrum(6)
         a = np.eye(6)
-        # 6^3 = 216 tuples at order 3 (bracket: 6^4), over a budget of 100
+        # 6^3 = 216 tuples at order 3 on every route, over a budget of 100
         with pytest.raises(BudgetExceededError):
             expand(spec, a, mix, 3, route=route, budget=100)
+
+    def test_bracket_route_sums_dim_to_the_n(self, mix):
+        # order 3 at N = 6: 6^3 = 216 tuples, within a budget of 1000 that
+        # 6^4 = 1296 would exceed
+        spec = linear_spectrum(6)
+        a = random_hermitian(6, make_rng(5), norm=0.5)
+        dd = taylor_term(3, spec, a, mix)
+        br = taylor_term_bracket_form(3, spec, a, mix.measure, budget=1000)
+        assert abs(br - dd) <= 1e-8 * abs(dd)
+        rep = expand(spec, a, mix, 3, route="bracket", budget=1000)
+        assert rep.contributions[3] == br
 
     def test_real_output_for_hermitian_input(self, spec4, rng):
         mix = make_gaussian_mixture([(1.0, 1.0)])
@@ -311,15 +322,36 @@ class TestMixedGateaux:
 
 class TestCircleContour:
     def test_enclosing_covers_spectrum(self, spec4):
-        c = CircleContour.enclosing(spec4, margin=1.0)
+        c = CircleContour.enclosing(spec4)
         lam = spec4.eigenvalues
         assert c.center == pytest.approx((lam[0] + lam[-1]) / 2.0)
         assert c.radius >= (lam[-1] - lam[0]) / 2.0 + 1.0 - 1e-12
         assert len(c.nodes()) == c.points
 
+    def test_default_contour_on_wide_spectrum(self):
+        # a circle around 16 unit-spaced eigenvalues has radius 8.5, where
+        # |e^{-z^2}| reaches e^72 and swamps the result; on the default
+        # ellipse it stays below e
+        spec = linear_spectrum(16)
+        a = random_hermitian(16, make_rng(3), norm=0.5)
+        f = make_gaussian_mixture([(1.0, 1.0)])
+        for n in range(1, 4):
+            dd = taylor_term(n, spec, a, f)
+            assert abs(taylor_term_contour(n, spec, a, f) - dd) <= 1e-12 * abs(dd)
+
+    def test_circle_has_equal_semi_axes(self):
+        c = CircleContour(center=0.5, radius=2.0, points=8)
+        assert c.imag_radius == 2.0
+        assert np.allclose(np.abs(c.nodes() - 0.5), 2.0, rtol=1e-15)
+        assert np.allclose(c.weights(), c.nodes() - 0.5, rtol=0, atol=1e-15)
+
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             CircleContour(center=0.0, radius=0.0)
+
+    def test_rejects_bad_imag_radius(self):
+        with pytest.raises(ValueError):
+            CircleContour(center=0.0, radius=1.0, imag_radius=0.0)
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
