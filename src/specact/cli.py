@@ -48,7 +48,6 @@ from .operator_model import (
 )
 from .rng import make_rng
 from .spectral_action import (
-    CircleContour,
     ROUTES,
     epsilon_enumerate,
     epsilon_parent_move_count,
@@ -272,23 +271,10 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
         raise ConfigError(f"run.route: unknown route '{route}'")
     budget = _number(run, "budget", "run", int, default=DEFAULT_TUPLE_BUDGET, positive=True)
     scaling = _numbers(run, "scaling_factors", "run", default=(1.0, 0.5, 0.25), positive=True)
-    contour = None
-    if "contour" in run:
-        sec = _section(run, "contour", "run")
-        contour = CircleContour(center=_number(sec, "center", "run.contour"),
-                                radius=_number(sec, "radius", "run.contour", positive=True),
-                                points=_number(sec, "points", "run.contour", int,
-                                               default=512, least=2))
-        if route == "contour":
-            try:
-                contour.require_inside(spec.eigenvalues)
-            except ValueError as exc:
-                raise ConfigError(f"run.contour: {exc}") from exc
-
     fd_step = _number(run, "fd_step", "run", default=0.05, positive=True)
 
     report = expand(spec, a, f, n_max, route=route, budget=budget,
-                    scaling_factors=scaling, contour=contour, fd_step=fd_step)
+                    scaling_factors=scaling, fd_step=fd_step)
 
     write_csv(os.path.join(out_dir, "expand.csv"),
               ["order", "contribution", "partial_sum", "remainder"],

@@ -22,6 +22,7 @@ Independent evaluation routes implemented here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -44,6 +45,11 @@ __all__ = [
     "dd_derivative_sum",
     "step_bitstrings",
 ]
+
+
+# an enclosing ellipse takes this many points per 16 units of a/b, and the
+# resolvent route fills its (points, N, N) work arrays this many at a time
+CONTOUR_BLOCK = 512
 
 
 def default_merge_tol(nodes) -> float:
@@ -258,6 +264,8 @@ class CircleContour:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise ValueError(f"need at least 2 points, got {self.points}")
         if self.imag_radius is None:
@@ -266,14 +274,23 @@ class CircleContour:
             raise ValueError(f"imaginary semi-axis must be positive, got {self.imag_radius}")
 
     @classmethod
-    def enclosing(cls, spec) -> "CircleContour":
-        """Ellipse through lam_min - 1 and lam_max + 1, imaginary semi-axis
-        1: a Gaussian stays below e on it at any spectral width, where on
-        the enclosing circle it grows like e^{r^2}."""
+    def enclosing(cls, spec, f: SmoothFunction) -> "CircleContour":
+        """Ellipse through lam_min - 1 and lam_max + 1 with imaginary
+        semi-axis b = min(1, 1/sqrt(t_max)) when f carries a measure (else
+        1), so every atom exp(-t z^2) stays below e on it at any spectral
+        width; the cap at 1 keeps a wide atom (t < 1) from stretching the
+        ellipse, which near the spectrum's ends would narrow the trapezoid
+        rule's analytic strip like 1/b.  The rule's rate shrinks like b/a
+        (real semi-axis a >= 1 >= b), so it takes CONTOUR_BLOCK points per
+        16 units of a/b."""
         lam = spec.eigenvalues
         center = 0.5 * float(lam[0] + lam[-1])
         radius = 0.5 * float(lam[-1] - lam[0]) + 1.0
-        return cls(center=center, radius=radius, imag_radius=1.0)
+        imag = 1.0
+        if f.measure is not None:
+            imag = min(imag, 1.0 / math.sqrt(float(np.max(f.measure.ts))))
+        points = CONTOUR_BLOCK * math.ceil(radius / (16.0 * imag))
+        return cls(center=center, radius=radius, points=points, imag_radius=imag)
 
     def _angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.points) / self.points
@@ -396,7 +413,7 @@ class MultisetDivDiff:
     """Confluent divided differences over a fixed value list, built one
     multiset size at a time.
 
-    The values are clustered once at ``merge_tol`` (default rule); a
+    The values are clustered once by ``default_merge_tol``; a
     divided difference is then looked up by an index tuple into the
     original list, keyed by the sorted cluster-id multiset, so
     permutations and degenerate values share entries.  This is the
@@ -419,14 +436,13 @@ class MultisetDivDiff:
     the multisets each path has evaluated.
     """
 
-    def __init__(self, fn: SmoothFunction, values, merge_tol: float | None = None):
+    def __init__(self, fn: SmoothFunction, values):
         self.fn = fn
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("need a nonempty 1-d value list")
-        tol = default_merge_tol(vals) if merge_tol is None else float(merge_tol)
         order = np.argsort(vals, kind="stable")
-        runs = _merge_runs(vals[order].tolist(), tol)
+        runs = _merge_runs(vals[order].tolist(), default_merge_tol(vals))
         self.cluster_of = np.empty(vals.size, dtype=int)
         self.cluster_of[order] = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
         self.rep = np.array([_representative(run) for run in runs])

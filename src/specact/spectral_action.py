@@ -34,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .divdiff import CircleContour, MultisetDivDiff, step_bitstrings
+from .divdiff import CONTOUR_BLOCK, CircleContour, MultisetDivDiff, step_bitstrings
+from .errors import BudgetExceededError
 from .functions import DiscreteMeasure, SmoothFunction
 from .operator_model import (
     DEFAULT_TUPLE_BUDGET,
@@ -68,6 +69,19 @@ __all__ = [
 ]
 
 ROUTES = ("dd", "theorem", "bracket", "contour", "fd")
+
+# the contour route fills points * N^2 work entries per power of the
+# resolvent product, and refuses a contour and order that need more
+CONTOUR_ENTRY_BUDGET = 10**9
+
+
+def _check_contour_budget(contour: CircleContour, dim: int, n: int) -> None:
+    entries = contour.points * dim**2 * n
+    if entries > CONTOUR_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"contour needs {contour.points} points x {dim}^2 x order {n} = {entries} "
+            f"work entries, over budget {CONTOUR_ENTRY_BUDGET}"
+        )
 
 
 def action_exact(spec: Spectrum, a, f: SmoothFunction) -> float:
@@ -167,34 +181,30 @@ def _bracket_term(
     return float(total.real)
 
 
-def taylor_term_contour(
-    n: int,
-    spec: Spectrum,
-    a,
-    f: SmoothFunction,
-    contour: CircleContour | None = None,
-) -> float:
+def taylor_term_contour(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
     """Order-n term from the resolvent contour form.
 
     (1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz, discretized by
-    the trapezoid rule on the contour, by default the ellipse
-    CircleContour.enclosing builds.  All eigenvalues must lie strictly
-    inside; f needs a complex-argument derivative.
+    the trapezoid rule on the ellipse CircleContour.enclosing sizes from
+    the spectrum and f; f needs a complex-argument derivative.  A contour
+    whose work exceeds CONTOUR_ENTRY_BUDGET is refused before any work.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     mat = require_hermitian(a, spec.dim)
-    if contour is None:
-        contour = CircleContour.enclosing(spec)
+    contour = CircleContour.enclosing(spec, f)
+    _check_contour_budget(contour, spec.dim, n)
     lam = spec.eigenvalues
-    contour.require_inside(lam)
     z = contour.nodes()
-    resolvent = 1.0 / (z[:, None] - lam[None, :])
-    m = mat[None, :, :] * resolvent[:, None, :]
-    power = m
-    for _ in range(n - 1):
-        power = power @ m
-    traces = np.einsum("pii->p", power)
+    traces = np.empty(z.size, dtype=complex)
+    for start in range(0, z.size, CONTOUR_BLOCK):
+        block = slice(start, start + CONTOUR_BLOCK)
+        resolvent = 1.0 / (z[block, None] - lam[None, :])
+        m = mat[None, :, :] * resolvent[:, None, :]
+        power = m
+        for _ in range(n - 1):
+            power = power @ m
+        traces[block] = np.einsum("pii->p", power)
     fprime = np.asarray(f.deriv_complex(1, z), dtype=complex)
     value = np.mean(fprime * traces * contour.weights()) / n
     return float(value.real)
@@ -321,7 +331,6 @@ def expand(
     route: str = "dd",
     budget: int = DEFAULT_TUPLE_BUDGET,
     scaling_factors: Sequence[float] = (1.0, 0.5, 0.25),
-    contour: CircleContour | None = None,
     fd_step: float = 0.05,
 ) -> TaylorReport:
     """Expansion through order n_max with exact-trace remainder study.
@@ -341,6 +350,8 @@ def expand(
     # each tensor route sums dim^n index tuples at order n
     if route in ("dd", "theorem", "bracket") and n_max >= 1:
         _check_budget(spec.dim, n_max, budget)
+    if route == "contour" and n_max >= 1:
+        _check_contour_budget(CircleContour.enclosing(spec, f), spec.dim, n_max)
 
     contribs = [taylor_term(0, spec, mat, f)]
     if route == "dd" and n_max >= 1:
@@ -355,7 +366,7 @@ def expand(
         elif route == "bracket":
             c = _bracket_term(n, spec, mat, f.measure, tables)
         elif route == "contour":
-            c = taylor_term_contour(n, spec, mat, f, contour=contour)
+            c = taylor_term_contour(n, spec, mat, f)
         else:
             c = gateaux_fd(n, spec, mat, f, h=fd_step)
         contribs.append(c)
@@ -365,7 +376,9 @@ def expand(
     scaled = []
     for eps in factors:
         partial = sum(c * eps**k for k, c in enumerate(contribs))
-        scaled.append(abs(action_exact(spec, eps * mat, f) - partial))
+        # at scale 1 the exact action is the one already computed
+        exact_eps = exact if eps == 1.0 else action_exact(spec, eps * mat, f)
+        scaled.append(abs(exact_eps - partial))
     exponent = None
     if all(r > 0.0 for r in scaled) and len(set(factors)) >= 2:
         slope, _ = np.polyfit(np.log(factors), np.log(scaled), 1)

@@ -65,8 +65,7 @@ class TestConfigErrors:
         ("spectrum", "dim", 0),
         ("run", "budget", -5),
         ("run", "fd_step", 0.0),
-        ("run", "contour", {"center": 0.0, "radius": 3.0, "points": 1}),
-        ("run", "scaling_factors", [1, "x"]),
+        pytest.param("run", "scaling_factors", [1, "x"], id="run-scaling_factors-value5"),
         ("run", "remainder_tol", "x"),
         ("perturbation", "seed", True),
         ("spectrum", "dim", "4"),
@@ -86,31 +85,44 @@ class TestConfigErrors:
         ("expand", "perturbation", {"kind": "explicit", "matrix": [[0, 1, 0, 0], [0, 0, 0, 0],
                                                                    [0, 0, 0, 0], [0, 0, 0, 0]]},
          "perturbation"),
-        ("expand", "run", {"route": "contour", "contour": {"center": 0.0, "radius": 0.5}},
-         "run.contour"),
-        ("verify", "verify", {"instances": "many", "seed": 1}, "verify.instances"),
-        ("verify", "verify", {"instances": -3, "seed": 1}, "verify.instances"),
-        ("verify", "verify", {"tol": "tight", "seed": 1}, "verify.tol"),
-        ("verify", "verify", {"dim_max": 1, "seed": 1}, "verify.dim_max"),
-        ("verify", "verify", {"seed": True}, "verify.seed"),
-        ("bounds", "bounds", {"simplex": {"samples": "lots", "seed": 1}},
-         "bounds.simplex.samples"),
-        ("bench", "bench", {"dims": [0], "seed": 1}, "bench.dims"),
+        pytest.param("verify", "verify", {"instances": "many", "seed": 1}, "verify.instances",
+                     id="verify-verify-value4-verify.instances"),
+        pytest.param("verify", "verify", {"instances": -3, "seed": 1}, "verify.instances",
+                     id="verify-verify-value5-verify.instances"),
+        pytest.param("verify", "verify", {"tol": "tight", "seed": 1}, "verify.tol",
+                     id="verify-verify-value6-verify.tol"),
+        pytest.param("verify", "verify", {"dim_max": 1, "seed": 1}, "verify.dim_max",
+                     id="verify-verify-value7-verify.dim_max"),
+        pytest.param("verify", "verify", {"seed": True}, "verify.seed",
+                     id="verify-verify-value8-verify.seed"),
+        pytest.param("bounds", "bounds", {"simplex": {"samples": "lots", "seed": 1}},
+                     "bounds.simplex.samples", id="bounds-bounds-value9-bounds.simplex.samples"),
+        pytest.param("bench", "bench", {"dims": [0], "seed": 1}, "bench.dims",
+                     id="bench-bench-value10-bench.dims"),
         ("expand", "run", 5, "run"),
-        ("expand", "run", {"contour": 5}, "run.contour"),
-        ("verify", "verify", [1], "verify"),
-        ("bench", "bench", [1], "bench"),
-        ("bounds", "bounds", {"simplex": 5}, "bounds.simplex"),
+        pytest.param("verify", "verify", [1], "verify", id="verify-verify-value13-verify"),
+        pytest.param("bench", "bench", [1], "bench", id="bench-bench-value14-bench"),
+        pytest.param("bounds", "bounds", {"simplex": 5}, "bounds.simplex",
+                     id="bounds-bounds-value15-bounds.simplex"),
         ("expand", "spectrum", 5, "spectrum"),
-        ("expand", "perturbation", {"kind": "one-form", "terms": [5]}, "perturbation.terms.0"),
-        ("expand", "function", {"atoms": [{"t": True, "w": 1.0}]}, "function.atoms.0.t"),
-        ("expand", "function", {"atoms": [{"t": 1.0, "w": "2.5"}]}, "function.atoms.0.w"),
-        ("expand", "function", {"atoms": [{"t": 1.0, "w": 1.0}, {"t": -1.0, "w": 1.0}]},
-         "function.atoms.1.t"),
-        ("expand", "function", {"atoms": [{"w": 1.0}]}, "function.atoms.0"),
-        ("expand", "function", {"atoms": [5]}, "function.atoms.0"),
-        ("expand", "function", {"atoms": 5}, "function.atoms"),
-        ("expand", "function", {"atoms": []}, "function.atoms"),
+        pytest.param("expand", "perturbation", {"kind": "one-form", "terms": [5]},
+                     "perturbation.terms.0",
+                     id="expand-perturbation-value17-perturbation.terms.0"),
+        pytest.param("expand", "function", {"atoms": [{"t": True, "w": 1.0}]},
+                     "function.atoms.0.t", id="expand-function-value18-function.atoms.0.t"),
+        pytest.param("expand", "function", {"atoms": [{"t": 1.0, "w": "2.5"}]},
+                     "function.atoms.0.w", id="expand-function-value19-function.atoms.0.w"),
+        pytest.param("expand", "function",
+                     {"atoms": [{"t": 1.0, "w": 1.0}, {"t": -1.0, "w": 1.0}]},
+                     "function.atoms.1.t", id="expand-function-value20-function.atoms.1.t"),
+        pytest.param("expand", "function", {"atoms": [{"w": 1.0}]}, "function.atoms.0",
+                     id="expand-function-value21-function.atoms.0"),
+        pytest.param("expand", "function", {"atoms": [5]}, "function.atoms.0",
+                     id="expand-function-value22-function.atoms.0"),
+        pytest.param("expand", "function", {"atoms": 5}, "function.atoms",
+                     id="expand-function-value23-function.atoms"),
+        pytest.param("expand", "function", {"atoms": []}, "function.atoms",
+                     id="expand-function-value24-function.atoms"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, command, section, value, where):
         path = write_cfg(tmp_path / "c.json", dict(BASE_CFG, **{section: value}))
@@ -224,11 +236,29 @@ class TestExpand:
             "perturbation": {"kind": "band", "norm": 0.2, "bandwidth": 1,
                              "seed": 5},
             "function": {"atoms": [{"t": 1.0, "w": 0.7}, {"t": 2.0, "w": 0.3}]},
-            "run": {"n_max": 3, "route": "contour",
-                    "contour": {"center": 0.0, "radius": 3.0, "points": 256}},
+            "run": {"n_max": 3, "route": "contour"},
         }
         path = write_cfg(tmp_path / "c.json", cfg)
         assert main(["expand", "--config", path, "--out", str(tmp_path)]) == 0
+
+    def test_contour_route_on_steep_atom(self, tmp_path):
+        # at t = 40 the contour's imaginary semi-axis shrinks to 1/sqrt(40),
+        # where e^{-40 z^2} stays below e
+        cfg = {
+            "schema": 1,
+            "spectrum": {"kind": "linear", "dim": 8},
+            "perturbation": {"kind": "random-hermitian", "norm": 0.5, "seed": 3},
+            "function": {"atoms": [{"t": 40.0, "w": 1.0}]},
+            "run": {"n_max": 3},
+        }
+        path = write_cfg(tmp_path / "c.json", cfg)
+        rows = {}
+        for route in ("dd", "contour"):
+            assert main(["expand", "--config", path, "--out", str(tmp_path / route),
+                         "--route", route]) == 0
+            rows[route] = read_csv(tmp_path / route / "expand.csv")[1:]
+        for dd, contour in zip(rows["dd"], rows["contour"]):
+            assert abs(float(contour[1]) - float(dd[1])) <= 1e-9 * abs(float(dd[1]))
 
 
 class TestVerify:

@@ -86,10 +86,9 @@ class TestTaylorTerm:
             assert br == pytest.approx(direct, abs=1e-10 * max(1, abs(direct)))
 
     def test_contour_agrees(self, spec4, herm4, mix):
-        contour = CircleContour.enclosing(spec4)
         for n in range(1, 5):
             direct = taylor_term(n, spec4, herm4, mix)
-            ct = taylor_term_contour(n, spec4, herm4, mix, contour=contour)
+            ct = taylor_term_contour(n, spec4, herm4, mix)
             assert ct == pytest.approx(direct, abs=1e-9 * max(1, abs(direct)))
 
     def test_contour_default_encloses(self, spec4, herm4, mix):
@@ -129,6 +128,22 @@ class TestTaylorTerm:
         with pytest.raises(BudgetExceededError):
             expand(spec, a, mix, 3, route=route, budget=100)
 
+    def test_contour_checks_budget_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("contour nodes were built")
+
+        monkeypatch.setattr(CircleContour, "nodes", refuse)
+        spec = linear_spectrum(64)
+        a = np.eye(64)
+        # at t = 1e6 the ellipse needs 512 * 2032 points, and 64^2 entries
+        # each at order 1 already exceed the contour's budget
+        f = make_gaussian_mixture([(1e6, 1.0)])
+        assert CircleContour.enclosing(spec, f).points == 512 * 2032
+        with pytest.raises(BudgetExceededError):
+            taylor_term_contour(1, spec, a, f)
+        with pytest.raises(BudgetExceededError):
+            expand(spec, a, f, 3, route="contour")
+
     def test_bracket_route_sums_dim_to_the_n(self, mix):
         # order 3 at N = 6: 6^3 = 216 tuples, within a budget of 1000 that
         # 6^4 = 1296 would exceed
@@ -165,13 +180,12 @@ class TestRouteAgreement:
         spec = random_spectrum(dim, 2.0, rng)
         a = random_hermitian(dim, rng, norm=0.5)
         mix = make_gaussian_mixture([(1.0, 1.0)])
-        contour = CircleContour.enclosing(spec)
         for n in range(1, 4):
             dd = taylor_term(n, spec, a, mix)
             routes = [
                 taylor_term_theorem_form(n, spec, a, mix) / n,
                 taylor_term_bracket_form(n, spec, a, mix.measure),
-                taylor_term_contour(n, spec, a, mix, contour=contour),
+                taylor_term_contour(n, spec, a, mix),
             ]
             scale = max(1.0, abs(dd))
             for other in routes:
@@ -213,6 +227,20 @@ class TestExpand:
         assert remainder <= 1e-6 * max(abs(report.exact), 1e-30)
         assert report.scaling_exponent is not None
         assert report.scaling_exponent >= 6.5
+
+    def test_exact_action_reused_at_scale_one(self, spec4, herm4, mix, monkeypatch):
+        # the exact action plus the scales 1/2 and 1/4; scale 1 reuses it
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(h):
+            calls.append(h)
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = expand(spec4, 0.3 * herm4, mix, n_max=2, route="dd")
+        assert len(calls) == 3
+        assert report.scaled_remainders[0] == abs(report.exact - sum(report.contributions))
 
     def test_routes_share_report_shape(self, spec4, herm4, mix):
         for route in ("dd", "theorem", "bracket", "contour", "fd"):
@@ -321,8 +349,8 @@ class TestMixedGateaux:
 
 
 class TestCircleContour:
-    def test_enclosing_covers_spectrum(self, spec4):
-        c = CircleContour.enclosing(spec4)
+    def test_enclosing_covers_spectrum(self, spec4, mix):
+        c = CircleContour.enclosing(spec4, mix)
         lam = spec4.eigenvalues
         assert c.center == pytest.approx((lam[0] + lam[-1]) / 2.0)
         assert c.radius >= (lam[-1] - lam[0]) / 2.0 + 1.0 - 1e-12
@@ -339,6 +367,19 @@ class TestCircleContour:
             dd = taylor_term(n, spec, a, f)
             assert abs(taylor_term_contour(n, spec, a, f) - dd) <= 1e-12 * abs(dd)
 
+    @pytest.mark.parametrize("dim,t", [(8, 40.0), (64, 1.0), (8, 1e-4)])
+    def test_contour_sized_from_spectrum_and_atom(self, dim, t):
+        # a 512-point ellipse with imaginary semi-axis 1 fails the first two:
+        # there e^{-40 z^2} reaches e^40, and at N = 64 a/b = 32.5 outruns
+        # 512 points; a wide atom keeps semi-axis 1, where 1/sqrt(t) = 100
+        # would leave the trapezoid rule an analytic strip only 1/100 wide
+        spec = linear_spectrum(dim)
+        a = random_hermitian(dim, make_rng(3), norm=0.5)
+        f = make_gaussian_mixture([(t, 1.0)])
+        for n in range(1, 4):
+            dd = taylor_term(n, spec, a, f)
+            assert abs(taylor_term_contour(n, spec, a, f) - dd) <= 1e-9 * abs(dd)
+
     def test_circle_has_equal_semi_axes(self):
         c = CircleContour(center=0.5, radius=2.0, points=8)
         assert c.imag_radius == 2.0
@@ -354,5 +395,7 @@ class TestCircleContour:
             CircleContour(center=0.0, radius=1.0, imag_radius=0.0)
 
     def test_rejects_too_few_points(self):
-        with pytest.raises(ValueError):
-            CircleContour(center=0.0, radius=1.0, points=1)
+        # a fractional count spaces the angles unevenly; a bool is no count
+        for points in (1, 2.5, 256.5, True):
+            with pytest.raises(ValueError):
+                CircleContour(center=0.0, radius=1.0, points=points)
