@@ -267,11 +267,13 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
 
     n_max = _number(run, "n_max", "run", int, default=4)
     route = route_flag or run.get("route", "dd")
-    if route not in ROUTES:
+    # a str check first: membership in the route dict hashes the key
+    if not isinstance(route, str) or route not in ROUTES:
         raise ConfigError(f"run.route: unknown route '{route}'")
     budget = _number(run, "budget", "run", int, default=DEFAULT_TUPLE_BUDGET, positive=True)
     scaling = _numbers(run, "scaling_factors", "run", default=(1.0, 0.5, 0.25), positive=True)
     fd_step = _number(run, "fd_step", "run", default=0.05, positive=True)
+    tol = _number(run, "remainder_tol", "run", positive=True) if "remainder_tol" in run else None
 
     report = expand(spec, a, f, n_max, route=route, budget=budget,
                     scaling_factors=scaling, fd_step=fd_step)
@@ -282,12 +284,10 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
                for r in report.csv_rows()])
     _atomic_write(os.path.join(out_dir, "expand.txt"), report.text_summary() + "\n")
 
-    if "remainder_tol" in run:
-        tol = _number(run, "remainder_tol", "run")
-        if report.remainders[n_max] > tol * abs(report.exact):
-            print(f"tolerance failure: remainder {report.remainders[n_max]:.3e} "
-                  f"> {tol:g} * |exact|", file=sys.stderr)
-            return 3
+    if tol is not None and report.remainders[n_max] > tol * abs(report.exact):
+        print(f"tolerance failure: remainder {report.remainders[n_max]:.3e} "
+              f"> {tol:g} * |exact|", file=sys.stderr)
+        return 3
     return 0
 
 

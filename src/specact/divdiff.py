@@ -113,17 +113,6 @@ class NodeList:
         runs = _merge_runs(sorted(self.nodes), self.merge_tol)
         return [(_representative(run), len(run)) for run in runs]
 
-    def expanded(self) -> np.ndarray:
-        """Sorted node array with each cluster representative repeated."""
-        reps: list[float] = []
-        for value, mult in self.clusters():
-            reps.extend([value] * mult)
-        return np.array(reps)
-
-    @property
-    def max_multiplicity(self) -> int:
-        return max(m for _, m in self.clusters())
-
     @property
     def max_merge_shift(self) -> float:
         """Largest distance any node moved to its cluster representative."""

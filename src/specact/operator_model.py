@@ -39,7 +39,6 @@ from .rng import make_rng, simplex_uniform
 __all__ = [
     "DEFAULT_TUPLE_BUDGET",
     "Spectrum",
-    "BracketValue",
     "BracketIdentityReport",
     "require_hermitian",
     "eigen_decompose",
@@ -185,20 +184,6 @@ def commutator_with_d2(spec: Spectrum, a) -> np.ndarray:
     return (sq[:, None] - sq[None, :]) * m
 
 
-@dataclass(frozen=True)
-class BracketValue:
-    """Closed-form bracket value; real up to rounding for self-adjoint
-    arguments and real t."""
-
-    value: complex
-    order: int
-    t: float
-
-    @property
-    def real(self) -> float:
-        return float(self.value.real)
-
-
 def _exp_divdiff(spec: Spectrum, t: float) -> MultisetDivDiff:
     """Divided differences of u -> e^{-t u} over the squared eigenvalues.
 
@@ -228,8 +213,9 @@ def bracket_dd(
     spec: Spectrum,
     t: float,
     budget: int = DEFAULT_TUPLE_BUDGET,
-) -> BracketValue:
-    """Closed-form bracket via divided differences of e^{-t u}.
+) -> complex:
+    """Closed-form bracket via divided differences of e^{-t u}; real up to
+    rounding for self-adjoint arguments.
 
     <A_0,...,A_n>_n = (-1)^n sum_{i_0..i_n} (A_0)_{i_0 i_1} ...
     (A_n)_{i_n i_0} E_t[lam_{i_0}^2,...,lam_{i_n}^2].  Degenerate squared
@@ -244,8 +230,7 @@ def bracket_dd(
     _check_budget(spec.dim, n + 1, budget)
     table = _exp_divdiff(spec, t)
     weight = table.tensor(n + 1)
-    value = ((-1.0) ** n) * _cyclic_contract(mats, weight)
-    return BracketValue(value=value, order=n, t=float(t))
+    return ((-1.0) ** n) * _cyclic_contract(mats, weight)
 
 
 def _cyclic_heat_traces(
@@ -339,26 +324,26 @@ def bracket_identity_check(
     """
     mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
-    base = bracket_dd(mats, spec, t, budget=budget).value
+    base = bracket_dd(mats, spec, t, budget=budget)
     scale = max(abs(base), 1e-15)
 
     cyc = 0.0
     for r in range(1, n + 1):
         rotated = mats[r:] + mats[:r]
-        cyc = max(cyc, _rel(abs(bracket_dd(rotated, spec, t, budget=budget).value - base), scale))
+        cyc = max(cyc, _rel(abs(bracket_dd(rotated, spec, t, budget=budget) - base), scale))
 
     eye = np.eye(spec.dim, dtype=complex)
     inserted = 0.0j
     for r in range(n + 1):
         rotated = [eye] + mats[r:] + mats[:r]
-        inserted += bracket_dd(rotated, spec, t, budget=budget).value
+        inserted += bracket_dd(rotated, spec, t, budget=budget)
     ins = _rel(abs(t * base - inserted), max(abs(t * base), abs(inserted), 1e-15))
 
     terms = []
     for i in range(n + 1):
         bumped = list(mats)
         bumped[i] = commutator_with_d(spec, mats[i])
-        terms.append(bracket_dd(bumped, spec, t, budget=budget).value)
+        terms.append(bracket_dd(bumped, spec, t, budget=budget))
     comm_scale = max(max((abs(v) for v in terms), default=0.0), scale)
     comm = _rel(abs(sum(terms)), comm_scale)
 
@@ -367,7 +352,7 @@ def bracket_identity_check(
         for i in range(n + 1):
             bumped = list(mats)
             bumped[i] = commutator_with_d2(spec, mats[i])
-            lhs = bracket_dd(bumped, spec, t, budget=budget).value
+            lhs = bracket_dd(bumped, spec, t, budget=budget)
             if i >= 1:
                 left = mats[: i - 1] + [mats[i - 1] @ mats[i]] + mats[i + 1 :]
             else:
@@ -377,8 +362,8 @@ def bracket_identity_check(
             else:
                 right = [mats[n] @ mats[0]] + mats[1:n]
             rhs = (
-                bracket_dd(left, spec, t, budget=budget).value
-                - bracket_dd(right, spec, t, budget=budget).value
+                bracket_dd(left, spec, t, budget=budget)
+                - bracket_dd(right, spec, t, budget=budget)
             )
             red = max(red, _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs), scale)))
 

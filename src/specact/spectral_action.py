@@ -68,25 +68,116 @@ __all__ = [
     "tadpole_check",
 ]
 
-ROUTES = ("dd", "theorem", "bracket", "contour", "fd")
-
 # the contour route fills points * N^2 work entries per power of the
 # resolvent product, and refuses a contour and order that need more
 CONTOUR_ENTRY_BUDGET = 10**9
 
 
-def _check_contour_budget(contour: CircleContour, dim: int, n: int) -> None:
-    entries = contour.points * dim**2 * n
-    if entries > CONTOUR_ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"contour needs {contour.points} points x {dim}^2 x order {n} = {entries} "
-            f"work entries, over budget {CONTOUR_ENTRY_BUDGET}"
-        )
-
-
 def action_exact(spec: Spectrum, a, f: SmoothFunction) -> float:
     """tr f(D + A) summed over the exact eigenvalues of the perturbed operator."""
     return _trace_of(f, np.diag(spec.eigenvalues) + require_hermitian(a, spec.dim))
+
+
+# Each route computes a nonempty ascending list of orders in one pass,
+# sharing its tables, contour or eigen-solves across them; the per-order
+# public functions and expand both call into it.
+
+
+def _dd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: SmoothFunction,
+               budget: int) -> list[float]:
+    """(1/n) sum A_{i_1 i_2} ... A_{i_n i_1} f'[lam_{i_1}, ..., lam_{i_n}]
+    at each order, over one table of f' on the spectrum."""
+    _check_budget(spec.dim, orders[-1], budget)
+    table = MultisetDivDiff(f.derivative(), spec.eigenvalues)
+    return [float((_cyclic_contract([mat] * n, table.tensor(n)) / n).real) for n in orders]
+
+
+def _theorem_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
+                    f: SmoothFunction, budget: int) -> list[float]:
+    """n * sum A_{i_n i_1} ... A_{i_{n-1} i_n} f[lam_{i_n}, lam_{i_1}, ...,
+    lam_{i_n}] at each order, over one table of f on the spectrum."""
+    _check_budget(spec.dim, orders[-1], budget)
+    table = MultisetDivDiff(f, spec.eigenvalues)
+    return [float((_cyclic_contract([mat] * n, table.doubled_tensor(n)) * n).real) for n in orders]
+
+
+def _bracket_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
+                    mu: DiscreteMeasure | None, budget: int) -> list[float]:
+    """The bracket sum at each order, over one e^{-tu} table per atom of
+    mu.  The unit in <1, B_1, ..., B_k> forces i_0 = i_1: the doubled
+    tensor's last slot, so B_1 goes last."""
+    if mu is None:
+        raise ValueError("bracket route needs a function carrying its measure")
+    _check_budget(spec.dim, orders[-1], budget)
+    tables = [_exp_divdiff(spec, t) for t, _ in mu]
+    anti = anticommutator_with_d(spec, mat)
+    sq = mat @ mat
+    out = []
+    for n in orders:
+        total = 0.0j
+        # one tensor per atom for each bracket length k; the (-1)^k of the
+        # sum cancels the (-1)^k of the closed bracket form
+        for k, group in groupby(step_bitstrings(n), key=len):
+            weights = [table.doubled_tensor(k) for table in tables]
+            for bits in group:
+                ops = [sq if b else anti for b in bits[1:] + bits[:1]]
+                for (_, w), weight in zip(mu, weights):
+                    total += w * _cyclic_contract(ops, weight)
+        out.append(float(total.real))
+    return out
+
+
+def _contour_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
+                    f: SmoothFunction) -> list[float]:
+    """(1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz at each order,
+    from one running power of A (z - D)^{-1} per block of contour points."""
+    contour = CircleContour.enclosing(spec, f)
+    entries = contour.points * spec.dim**2 * orders[-1]
+    if entries > CONTOUR_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"contour needs {contour.points} points x {spec.dim}^2 x order {orders[-1]} = "
+            f"{entries} work entries, over budget {CONTOUR_ENTRY_BUDGET}"
+        )
+    lam = spec.eigenvalues
+    z = contour.nodes()
+    traces = np.empty((len(orders), z.size), dtype=complex)
+    for start in range(0, z.size, CONTOUR_BLOCK):
+        block = slice(start, start + CONTOUR_BLOCK)
+        resolvent = 1.0 / (z[block, None] - lam[None, :])
+        m = mat[None, :, :] * resolvent[:, None, :]
+        power, level = m, 1
+        for row, n in enumerate(orders):
+            for _ in range(n - level):
+                power = power @ m
+            level = n
+            traces[row, block] = np.einsum("pii->p", power)
+    fprime = np.asarray(f.deriv_complex(1, z), dtype=complex)
+    weights = contour.weights()
+    return [float((np.mean(fprime * tr * weights) / n).real) for n, tr in zip(orders, traces)]
+
+
+def _fd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: SmoothFunction,
+               h: float) -> list[float]:
+    """Central differences of phi(u) = tr f(D + u A) at steps h and h/2,
+    Richardson-extrapolated, at each order.  Orders share stencil points,
+    so phi costs one eigen-solve per distinct u (the same float gives the
+    same matrix, so sharing changes no value)."""
+    if not h > 0.0:
+        raise ValueError(f"step must be positive, got {h}")
+    d = np.diag(spec.eigenvalues)
+    phi: dict[float, float] = {}
+
+    def diff(n: int, step: float) -> float:
+        coeff = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)])
+        vals = []
+        for k in range(n + 1):
+            u = (n / 2.0 - k) * step
+            if u not in phi:
+                phi[u] = _trace_of(f, d + u * mat)
+            vals.append(phi[u])
+        return float(np.dot(coeff, vals) / step**n)
+
+    return [(4.0 * diff(n, h / 2.0) - diff(n, h)) / 3.0 / math.factorial(n) for n in orders]
 
 
 def taylor_term(
@@ -108,14 +199,7 @@ def taylor_term(
     mat = require_hermitian(a, spec.dim)
     if n == 0:
         return float(np.sum(np.asarray(f(spec.eigenvalues), dtype=float)))
-    _check_budget(spec.dim, n, budget)
-    return _dd_term(n, mat, MultisetDivDiff(f.derivative(), spec.eigenvalues))
-
-
-def _dd_term(n: int, mat: np.ndarray, table: MultisetDivDiff) -> float:
-    """(1/n) sum A_{i_1 i_2} ... A_{i_n i_1} f'[lam_{i_1}, ..., lam_{i_n}]
-    over a table of f' on the spectrum, shared by every order of expand."""
-    return float((_cyclic_contract([mat] * n, table.tensor(n)) / n).real)
+    return _dd_orders((n,), spec, mat, f, budget)[0]
 
 
 def taylor_term_theorem_form(
@@ -134,11 +218,7 @@ def taylor_term_theorem_form(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    mat = require_hermitian(a, spec.dim)
-    _check_budget(spec.dim, n, budget)
-    weight = MultisetDivDiff(f, spec.eigenvalues).doubled_tensor(n)
-    value = _cyclic_contract([mat] * n, weight) * n
-    return float(value.real)
+    return _theorem_orders((n,), spec, require_hermitian(a, spec.dim), f, budget)[0]
 
 
 def taylor_term_bracket_form(
@@ -156,29 +236,7 @@ def taylor_term_bracket_form(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    mat = require_hermitian(a, spec.dim)
-    _check_budget(spec.dim, n, budget)
-    return _bracket_term(n, spec, mat, mu, [_exp_divdiff(spec, t) for t, _ in mu])
-
-
-def _bracket_term(
-    n: int, spec: Spectrum, mat: np.ndarray, mu: DiscreteMeasure, tables: list[MultisetDivDiff]
-) -> float:
-    """The order-n bracket sum over one e^{-tu} table per atom of mu,
-    shared by every order of expand.  The unit in <1, B_1, ..., B_k>
-    forces i_0 = i_1: the doubled tensor's last slot, so B_1 goes last."""
-    anti = anticommutator_with_d(spec, mat)
-    sq = mat @ mat
-    total = 0.0j
-    # one tensor per atom for each bracket length k; the (-1)^k of the sum
-    # cancels the (-1)^k of the closed bracket form
-    for k, group in groupby(step_bitstrings(n), key=len):
-        weights = [table.doubled_tensor(k) for table in tables]
-        for bits in group:
-            ops = [sq if b else anti for b in bits[1:] + bits[:1]]
-            for (_, w), weight in zip(mu, weights):
-                total += w * _cyclic_contract(ops, weight)
-    return float(total.real)
+    return _bracket_orders((n,), spec, require_hermitian(a, spec.dim), mu, budget)[0]
 
 
 def taylor_term_contour(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
@@ -191,23 +249,7 @@ def taylor_term_contour(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    mat = require_hermitian(a, spec.dim)
-    contour = CircleContour.enclosing(spec, f)
-    _check_contour_budget(contour, spec.dim, n)
-    lam = spec.eigenvalues
-    z = contour.nodes()
-    traces = np.empty(z.size, dtype=complex)
-    for start in range(0, z.size, CONTOUR_BLOCK):
-        block = slice(start, start + CONTOUR_BLOCK)
-        resolvent = 1.0 / (z[block, None] - lam[None, :])
-        m = mat[None, :, :] * resolvent[:, None, :]
-        power = m
-        for _ in range(n - 1):
-            power = power @ m
-        traces[block] = np.einsum("pii->p", power)
-    fprime = np.asarray(f.deriv_complex(1, z), dtype=complex)
-    value = np.mean(fprime * traces * contour.weights()) / n
-    return float(value.real)
+    return _contour_orders((n,), spec, require_hermitian(a, spec.dim), f)[0]
 
 
 def gateaux_fd(n: int, spec: Spectrum, a, f: SmoothFunction, h: float = 0.05) -> float:
@@ -220,18 +262,23 @@ def gateaux_fd(n: int, spec: Spectrum, a, f: SmoothFunction, h: float = 0.05) ->
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    mat = require_hermitian(a, spec.dim)
-    coeff = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)])
-    d = np.diag(spec.eigenvalues)
+    return _fd_orders((n,), spec, require_hermitian(a, spec.dim), f, h)[0]
 
-    def diff(step: float) -> float:
-        vals = [_trace_of(f, d + (n / 2.0 - k) * step * mat) for k in range(n + 1)]
-        return float(np.dot(coeff, vals) / step**n)
 
-    fine, coarse = diff(h / 2.0), diff(h)
-    return (4.0 * fine - coarse) / 3.0 / math.factorial(n)
+# route name -> its all-orders pass (orders, spec, mat, f, budget, fd_step)
+# -> the contributions at those orders; the theorem form's raw sums are
+# n times the contribution
+ROUTES = {
+    "dd": lambda orders, spec, mat, f, budget, h: _dd_orders(orders, spec, mat, f, budget),
+    "theorem": lambda orders, spec, mat, f, budget, h: [
+        v / n for n, v in zip(orders, _theorem_orders(orders, spec, mat, f, budget))
+    ],
+    "bracket": lambda orders, spec, mat, f, budget, h: _bracket_orders(
+        orders, spec, mat, f.measure, budget
+    ),
+    "contour": lambda orders, spec, mat, f, budget, h: _contour_orders(orders, spec, mat, f),
+    "fd": lambda orders, spec, mat, f, budget, h: _fd_orders(orders, spec, mat, f, h),
+}
 
 
 def fd_noise_floor(n: int, h: float, dim: int) -> float:
@@ -342,34 +389,13 @@ def expand(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}, expected one of {ROUTES}")
+    # a str check first: membership in the dict hashes the key
+    if not isinstance(route, str) or route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}, expected one of {tuple(ROUTES)}")
     mat = require_hermitian(a, spec.dim)
-    if route == "bracket" and f.measure is None:
-        raise ValueError("bracket route needs a function carrying its measure")
-    # each tensor route sums dim^n index tuples at order n
-    if route in ("dd", "theorem", "bracket") and n_max >= 1:
-        _check_budget(spec.dim, n_max, budget)
-    if route == "contour" and n_max >= 1:
-        _check_contour_budget(CircleContour.enclosing(spec, f), spec.dim, n_max)
-
-    contribs = [taylor_term(0, spec, mat, f)]
-    if route == "dd" and n_max >= 1:
-        table = MultisetDivDiff(f.derivative(), spec.eigenvalues)
-    if route == "bracket":
-        tables = [_exp_divdiff(spec, t) for t, _ in f.measure]
-    for n in range(1, n_max + 1):
-        if route == "dd":
-            c = _dd_term(n, mat, table)
-        elif route == "theorem":
-            c = taylor_term_theorem_form(n, spec, mat, f, budget=budget) / n
-        elif route == "bracket":
-            c = _bracket_term(n, spec, mat, f.measure, tables)
-        elif route == "contour":
-            c = taylor_term_contour(n, spec, mat, f)
-        else:
-            c = gateaux_fd(n, spec, mat, f, h=fd_step)
-        contribs.append(c)
+    # the route runs its checks before any work, so it goes before S_0
+    higher = ROUTES[route](range(1, n_max + 1), spec, mat, f, budget, fd_step) if n_max else []
+    contribs = [taylor_term(0, spec, mat, f), *higher]
 
     exact = action_exact(spec, mat, f)
     factors = tuple(float(e) for e in scaling_factors)

@@ -65,10 +65,12 @@ class TestConfigErrors:
         ("spectrum", "dim", 0),
         ("run", "budget", -5),
         ("run", "fd_step", 0.0),
-        pytest.param("run", "scaling_factors", [1, "x"], id="run-scaling_factors-value5"),
+        ("run", "remainder_tol", -1),
+        ("run", "scaling_factors", [1, "x"]),
         ("run", "remainder_tol", "x"),
         ("perturbation", "seed", True),
         ("spectrum", "dim", "4"),
+        ("run", "remainder_tol", 0),
     ])
     def test_bad_number_exits_2(self, tmp_path, capsys, section, key, value):
         cfg = json.loads(json.dumps(BASE_CFG))
@@ -77,6 +79,8 @@ class TestConfigErrors:
         assert main(["expand", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{section}.{key}" in err
+        # the whole run section is read before the expansion writes anything
+        assert not (tmp_path / "expand.csv").exists()
 
     @pytest.mark.parametrize("command,section,value,where", [
         ("expand", "spectrum", {"kind": "explicit", "values": [1, 2, "a"]}, "spectrum.values"),
@@ -85,44 +89,31 @@ class TestConfigErrors:
         ("expand", "perturbation", {"kind": "explicit", "matrix": [[0, 1, 0, 0], [0, 0, 0, 0],
                                                                    [0, 0, 0, 0], [0, 0, 0, 0]]},
          "perturbation"),
-        pytest.param("verify", "verify", {"instances": "many", "seed": 1}, "verify.instances",
-                     id="verify-verify-value4-verify.instances"),
-        pytest.param("verify", "verify", {"instances": -3, "seed": 1}, "verify.instances",
-                     id="verify-verify-value5-verify.instances"),
-        pytest.param("verify", "verify", {"tol": "tight", "seed": 1}, "verify.tol",
-                     id="verify-verify-value6-verify.tol"),
-        pytest.param("verify", "verify", {"dim_max": 1, "seed": 1}, "verify.dim_max",
-                     id="verify-verify-value7-verify.dim_max"),
-        pytest.param("verify", "verify", {"seed": True}, "verify.seed",
-                     id="verify-verify-value8-verify.seed"),
-        pytest.param("bounds", "bounds", {"simplex": {"samples": "lots", "seed": 1}},
-                     "bounds.simplex.samples", id="bounds-bounds-value9-bounds.simplex.samples"),
-        pytest.param("bench", "bench", {"dims": [0], "seed": 1}, "bench.dims",
-                     id="bench-bench-value10-bench.dims"),
-        ("expand", "run", 5, "run"),
-        pytest.param("verify", "verify", [1], "verify", id="verify-verify-value13-verify"),
-        pytest.param("bench", "bench", [1], "bench", id="bench-bench-value14-bench"),
-        pytest.param("bounds", "bounds", {"simplex": 5}, "bounds.simplex",
-                     id="bounds-bounds-value15-bounds.simplex"),
         ("expand", "spectrum", 5, "spectrum"),
-        pytest.param("expand", "perturbation", {"kind": "one-form", "terms": [5]},
-                     "perturbation.terms.0",
-                     id="expand-perturbation-value17-perturbation.terms.0"),
-        pytest.param("expand", "function", {"atoms": [{"t": True, "w": 1.0}]},
-                     "function.atoms.0.t", id="expand-function-value18-function.atoms.0.t"),
-        pytest.param("expand", "function", {"atoms": [{"t": 1.0, "w": "2.5"}]},
-                     "function.atoms.0.w", id="expand-function-value19-function.atoms.0.w"),
-        pytest.param("expand", "function",
-                     {"atoms": [{"t": 1.0, "w": 1.0}, {"t": -1.0, "w": 1.0}]},
-                     "function.atoms.1.t", id="expand-function-value20-function.atoms.1.t"),
-        pytest.param("expand", "function", {"atoms": [{"w": 1.0}]}, "function.atoms.0",
-                     id="expand-function-value21-function.atoms.0"),
-        pytest.param("expand", "function", {"atoms": [5]}, "function.atoms.0",
-                     id="expand-function-value22-function.atoms.0"),
-        pytest.param("expand", "function", {"atoms": 5}, "function.atoms",
-                     id="expand-function-value23-function.atoms"),
-        pytest.param("expand", "function", {"atoms": []}, "function.atoms",
-                     id="expand-function-value24-function.atoms"),
+        ("verify", "verify", {"instances": "many", "seed": 1}, "verify.instances"),
+        ("verify", "verify", {"instances": -3, "seed": 1}, "verify.instances"),
+        ("verify", "verify", {"tol": "tight", "seed": 1}, "verify.tol"),
+        ("verify", "verify", {"dim_max": 1, "seed": 1}, "verify.dim_max"),
+        ("verify", "verify", {"seed": True}, "verify.seed"),
+        ("bounds", "bounds", {"simplex": {"samples": "lots", "seed": 1}}, "bounds.simplex.samples"),
+        ("bench", "bench", {"dims": [0], "seed": 1}, "bench.dims"),
+        ("expand", "run", 5, "run"),
+        ("expand", "run", {"route": ["dd"]}, "run.route"),
+        ("verify", "verify", [1], "verify"),
+        ("bench", "bench", [1], "bench"),
+        ("bounds", "bounds", {"simplex": 5}, "bounds.simplex"),
+        ("expand", "run", {"route": {"a": 1}}, "run.route"),
+        ("expand", "perturbation", {"kind": "one-form", "terms": [5]}, "perturbation.terms.0"),
+        ("expand", "function", {"atoms": [{"t": True, "w": 1.0}]}, "function.atoms.0.t"),
+        ("expand", "function", {"atoms": [{"t": 1.0, "w": "2.5"}]}, "function.atoms.0.w"),
+        ("expand", "function", {"atoms": [{"t": 1.0, "w": 1.0}, {"t": -1.0, "w": 1.0}]},
+         "function.atoms.1.t"),
+        ("expand", "function", {"atoms": [{"w": 1.0}]}, "function.atoms.0"),
+        ("expand", "function", {"atoms": [5]}, "function.atoms.0"),
+        ("expand", "function", {"atoms": 5}, "function.atoms"),
+        ("expand", "function", {"atoms": []}, "function.atoms"),
+        ("expand", "run", {"route": 5}, "run.route"),
+        ("expand", "run", {"route": "nonsense"}, "run.route"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, command, section, value, where):
         path = write_cfg(tmp_path / "c.json", dict(BASE_CFG, **{section: value}))

@@ -51,12 +51,7 @@ class TestNodeList:
         rep, mult = clusters[0]
         assert mult == 2
         assert rep == pytest.approx(1.0 + 2.5e-10)
-        assert nl.max_multiplicity == 2
         assert nl.max_merge_shift == pytest.approx(2.5e-10)
-
-    def test_expanded_is_sorted_with_multiplicity(self):
-        nl = NodeList((2.0, -1.0, 2.0))
-        assert np.allclose(nl.expanded(), [-1.0, 2.0, 2.0])
 
     def test_zero_tol_keeps_distinct(self):
         nl = NodeList((0.0, 1e-12), merge_tol=0.0)

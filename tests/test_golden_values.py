@@ -72,7 +72,7 @@ def test_expand_on_repeated_eigenvalue():
 
 
 def test_bracket_dd():
-    value = bracket_dd([A, A @ A, np.eye(4)], SPEC, 0.7).value
+    value = bracket_dd([A, A @ A, np.eye(4)], SPEC, 0.7)
     assert value.real == pytest.approx(-0.00032742487562761836, rel=REL)
     assert abs(value.imag) <= 1e-18
 

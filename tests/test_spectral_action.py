@@ -31,6 +31,20 @@ from specact import (
 )
 from specact.errors import BudgetExceededError
 from specact.rng import make_rng
+from specact.spectral_action import ROUTES
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Patch owner.name with a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 class TestActionExact:
@@ -180,18 +194,22 @@ class TestRouteAgreement:
         spec = random_spectrum(dim, 2.0, rng)
         a = random_hermitian(dim, rng, norm=0.5)
         mix = make_gaussian_mixture([(1.0, 1.0)])
+        reports = {route: expand(spec, a, mix, 3, route=route) for route in ROUTES}
         for n in range(1, 4):
             dd = taylor_term(n, spec, a, mix)
-            routes = [
-                taylor_term_theorem_form(n, spec, a, mix) / n,
-                taylor_term_bracket_form(n, spec, a, mix.measure),
-                taylor_term_contour(n, spec, a, mix),
-            ]
+            routes = {
+                "theorem": taylor_term_theorem_form(n, spec, a, mix) / n,
+                "bracket": taylor_term_bracket_form(n, spec, a, mix.measure),
+                "contour": taylor_term_contour(n, spec, a, mix),
+            }
             scale = max(1.0, abs(dd))
-            for other in routes:
+            for other in routes.values():
                 assert abs(other - dd) <= 1e-8 * scale
             fd = gateaux_fd(n, spec, a, mix, h=0.05)
             assert abs(fd - dd) <= 1e-4 * scale
+            # expand's all-orders pass gives each per-order value bit for bit
+            for route, value in dict(routes, dd=dd, fd=fd).items():
+                assert reports[route].contributions[n] == value, (route, n)
 
 
 class TestExpand:
@@ -273,6 +291,32 @@ class TestExpand:
         bare = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1))
         with pytest.raises(ValueError):
             expand(spec4, herm4, bare, n_max=1, route="bracket")
+
+    def test_bracket_form_needs_measure(self, spec4, herm4):
+        with pytest.raises(ValueError, match="measure"):
+            taylor_term_bracket_form(1, spec4, herm4, None)
+
+    def test_fd_solves_each_stencil_point_once(self, spec4, herm4, mix, monkeypatch):
+        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        expand(spec4, 0.3 * herm4, mix, n_max=2, route="fd", fd_step=0.05)
+        # steps h/2 and h (h = 0.05) put order 1 at u = +-h/4, +-h/2 and
+        # order 2 at u = h/2, 0, -h/2 and h, 0, -h: 7 distinct u, one solve
+        # each; then the exact action and the scales 1/2 and 1/4 (scale 1
+        # reuses the exact action): 7 + 1 + 2 = 10
+        assert len(calls) == 10
+
+    def test_contour_builds_one_contour_for_all_orders(self, spec4, herm4, mix, monkeypatch):
+        calls = _count_calls(monkeypatch, CircleContour, "nodes")
+        expand(spec4, 0.3 * herm4, mix, n_max=4, route="contour")
+        # one ellipse, whose running resolvent power gives orders 1..4
+        assert len(calls) == 1
+
+    def test_theorem_builds_one_table_for_all_orders(self, spec4, herm4, mix, monkeypatch):
+        calls = _count_calls(monkeypatch, MultisetDivDiff, "__init__")
+        expand(spec4, 0.3 * herm4, mix, n_max=3, route="theorem")
+        # S_0 needs no table; one table of f serves the doubled tensors of
+        # orders 1, 2 and 3
+        assert len(calls) == 1
 
 
 class TestEpsilonCombinatorics:
