@@ -168,6 +168,9 @@ def _dd_series(f: SmoothFunction, zs: np.ndarray) -> float:
         if abs(term) <= 1e-17 * scale + 1e-300:
             small += 1
             if small >= 2:
+                # a non-finite term leaves the sum non-finite: the ladder overflowed
+                if not math.isfinite(total):
+                    break
                 return total
         else:
             small = 0
@@ -399,8 +402,8 @@ def dd_chain_generic(
 
 
 class MultisetDivDiff:
-    """Confluent divided differences over a fixed value list, built one
-    multiset size at a time.
+    """Confluent divided differences over a fixed value list, held as one
+    value array per multiset size.
 
     The values are clustered once by ``default_merge_tol``; a
     divided difference is then looked up by an index tuple into the
@@ -410,15 +413,20 @@ class MultisetDivDiff:
 
     Level s holds every size-s multiset in combinations_with_replacement
     order (their base-K codes ascend, K clusters) and one value array.
-    Level 1 is f at the cluster nodes; level s comes from level s - 1 in
-    three array steps:
+    Level 1 is f at the cluster nodes.  Asking for level s builds every
+    missing level up to s in one pass:
 
-      * a multiset whose end nodes lie more than SERIES_SPAN apart is one
-        Newton step, (V[tail] - V[head]) / (x_last - x_first), from its
-        two one-smaller sub-multisets;
-      * a confluent one (a single node s times) is f^{(s-1)}(x)/(s-1)!,
-        from one derivative ladder over all nodes;
-      * a narrow one is the centered series, summed for all rows at once.
+      * first the keys and codes of every new level, each from the one
+        below (they depend only on K);
+      * then the narrow multisets of all new levels (end nodes at most
+        SERIES_SPAN apart, not a single node) as rows of one batched
+        centered series;
+      * then level by level, a multiset whose end nodes lie more than
+        SERIES_SPAN apart is one Newton step,
+        (V[tail] - V[head]) / (x_last - x_first), from its two
+        one-smaller sub-multisets, and a confluent one (a single node s
+        times) is f^{(s-1)}(x)/(s-1)!, from one derivative ladder over all
+        nodes that serves every new level.
 
     These are the blocks dd_recursive builds, so each value equals
     dd_recursive on the same nodes bit for bit.  ``evaluations`` counts
@@ -461,43 +469,53 @@ class MultisetDivDiff:
 
     def _level(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Codes and values of every size-``size`` multiset."""
-        while len(self._values) <= size:
-            self._extend()
+        if len(self._values) <= size:
+            self._build(size)
         return self._codes[size], self._values[size]
 
-    def _extend(self) -> None:
-        """Build the next level from the largest one held."""
+    def _build(self, top: int) -> None:
+        """Build every level from the smallest missing one up to ``top``:
+        all keys, then one series batch, then the Newton and confluent
+        steps level by level."""
         k = len(self.rep)
-        s = len(self._values)
-        prev_keys, prev_codes, prev_values = self._keys[-1], self._codes[-1], self._values[-1]
-        # each key of level s - 1 gains one last id >= its own last one, in
-        # ascending order; the key it extends is its head, key[:-1]
-        last = prev_keys[:, -1]
-        grow = k - last
-        head = np.repeat(np.arange(len(prev_keys)), grow)
-        new = np.arange(len(head)) - np.repeat(np.cumsum(grow) - grow, grow) + last[head]
-        keys = np.column_stack((prev_keys[head], new))
-        codes = prev_codes[head] * k + new
-        self._keys.append(keys)
-        self._codes.append(codes)
-        first, lo, hi = keys[:, 0], self.rep[keys[:, 0]], self.rep[new]
-        values = np.empty(len(keys))
-        confluent = first == new
-        wide = hi - lo > SERIES_SPAN
-        narrow = ~(wide | confluent)
-        if narrow.any():
-            values[narrow] = _dd_series_rows(self.fn, self.rep[keys[narrow]])
-            self._counts["series"] += int(np.count_nonzero(narrow))
-        # the tail key[1:] drops the leading digit of the code
-        tail = np.searchsorted(prev_codes, codes[wide] - first[wide] * k ** (s - 1))
-        values[wide] = (prev_values[tail] - prev_values[head[wide]]) / (hi[wide] - lo[wide])
-        self._counts["newton"] += len(tail)
-        inv_fact = 1.0
-        for j in range(1, s):
-            inv_fact /= j
-        values[confluent] = self.fn.deriv_ladder(s - 1, self.rep)[s - 1] * inv_fact
-        self._counts["ladder"] += k
-        self._values.append(values)
+        sizes = range(len(self._values), top + 1)
+        steps, narrow_rows = [], []
+        for _ in sizes:
+            # each key of level s - 1 gains one last id >= its own last one,
+            # in ascending order; the key it extends is its head, key[:-1]
+            prev_keys, prev_codes = self._keys[-1], self._codes[-1]
+            last = prev_keys[:, -1]
+            grow = k - last
+            head = np.repeat(np.arange(len(prev_keys)), grow)
+            new = np.arange(len(head)) - np.repeat(np.cumsum(grow) - grow, grow) + last[head]
+            keys = np.column_stack((prev_keys[head], new))
+            self._keys.append(keys)
+            self._codes.append(prev_codes[head] * k + new)
+            confluent = keys[:, 0] == new
+            wide = self.rep[new] - self.rep[keys[:, 0]] > SERIES_SPAN
+            narrow = ~(wide | confluent)
+            steps.append((head, confluent, wide, narrow))
+            narrow_rows.append(self.rep[keys[narrow]])
+        series = _dd_series_rows(self.fn, narrow_rows)
+        ladder = self.fn.deriv_ladder(top - 1, self.rep)
+        for s, (head, confluent, wide, narrow), narrow_values in zip(sizes, steps, series):
+            keys, codes = self._keys[s], self._codes[s]
+            prev_codes, prev_values = self._codes[s - 1], self._values[s - 1]
+            values = np.empty(len(keys))
+            values[narrow] = narrow_values
+            self._counts["series"] += len(narrow_values)
+            # the tail key[1:] drops the leading digit of the code
+            first = keys[wide, 0]
+            lo, hi = self.rep[first], self.rep[keys[wide, -1]]
+            tail = np.searchsorted(prev_codes, codes[wide] - first * k ** (s - 1))
+            values[wide] = (prev_values[tail] - prev_values[head[wide]]) / (hi - lo)
+            self._counts["newton"] += len(tail)
+            inv_fact = 1.0
+            for j in range(1, s):
+                inv_fact /= j
+            values[confluent] = ladder[s - 1] * inv_fact
+            self._counts["ladder"] += k
+            self._values.append(values)
 
     def tensor(self, slots: int) -> np.ndarray:
         """Dense array T[i_0...i_{slots-1}] of divided-difference values."""
@@ -548,46 +566,64 @@ class MultisetDivDiff:
         return out
 
 
-def _dd_series_rows(f: SmoothFunction, zs: np.ndarray) -> np.ndarray:
-    """_dd_series on every row of ``zs`` at once.
+def _dd_series_rows(f: SmoothFunction, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """_dd_series on every row of every block at once, one value array per
+    block; the rows of one block hold equally many nodes.
 
-    Each row sums the same terms in the same order as the scalar series
-    and stops at the term where it stops; stopped rows leave the working
-    arrays.
+    Each row is centred by its own block's mean and padded with zero
+    offsets to the widest block; a zero offset leaves every h_k unchanged,
+    so a row reads h at its own order n.  All rows share one ladder at
+    their centres.  Each row sums the same terms in the same order as the
+    scalar series and stops at the term where it stops; stopped rows leave
+    the working arrays.
     """
-    n = zs.shape[1] - 1
-    out = np.empty(len(zs))
-    live = np.arange(len(zs))
-    center = np.mean(zs, axis=1)
-    v = np.ascontiguousarray((zs - center[:, None]).T)
+    counts = [len(b) for b in blocks]
+    if not sum(counts):
+        return [np.empty(0) for _ in blocks]
+    width = max(b.shape[1] for b in blocks)
+    n = np.repeat([b.shape[1] - 1 for b in blocks], counts)
+    centers = [np.mean(b, axis=1) for b in blocks]
+    center = np.concatenate(centers)
+    v = np.zeros((width, len(n)))
+    for b, c, start in zip(blocks, centers, np.cumsum(counts) - counts):
+        v[: b.shape[1], start : start + len(b)] = (b - c[:, None]).T
     h = np.ones_like(v)
-    coef = 1.0 / math.factorial(n)
-    ladder = np.array(f.deriv_ladder(n + SERIES_LADDER, center))
-    total = ladder[n] * coef
+    out = np.empty(len(n))
+    live = rows = np.arange(len(n))
+    top = width - 1
+    coef = np.array([1.0 / math.factorial(j) for j in range(width)])[n]
+    ladder = np.array(f.deriv_ladder(top + SERIES_LADDER, center))
+    total = ladder[n, rows] * coef
     scale = np.abs(total)
-    small = np.zeros(len(zs), dtype=int)
+    small = np.zeros(len(n), dtype=int)
     for k in range(1, 200):
         coef /= n + k
         prev = v[0] * h[0]
         h[0] = prev
-        for m in range(1, n + 1):
+        for m in range(1, top + 1):
             prev = prev + v[m] * h[m]
             h[m] = prev
-        if n + k >= len(ladder):
-            ladder = np.array(f.deriv_ladder(min(2 * (len(ladder) - 1), n + 199), center))
-        term = ladder[n + k] * coef * h[n]
+        if top + k >= len(ladder):
+            ladder = np.array(f.deriv_ladder(min(2 * (len(ladder) - 1), top + 199), center))
+        term = ladder[n + k, rows] * coef * h[n, rows]
         total += term
         scale = np.maximum(scale, np.abs(total))
         small = np.where(np.abs(term) <= 1e-17 * scale + 1e-300, small + 1, 0)
         done = small >= 2
         if done.any():
+            # a non-finite term leaves the sum non-finite: the ladder overflowed
+            if not np.all(np.isfinite(total[done])):
+                break
             out[live[done]] = total[done]
             keep = ~done
-            live, center, total = live[keep], center[keep], total[keep]
-            scale, small = scale[keep], small[keep]
-            v, h, ladder = v[:, keep], h[:, keep], ladder[:, keep]
+            live, center, total, scale, small, n, coef = (
+                x[keep] for x in (live, center, total, scale, small, n, coef)
+            )
             if not len(live):
-                return out
+                return np.split(out, np.cumsum(counts)[:-1])
+            top = int(n.max())
+            rows = rows[: len(live)]
+            v, h, ladder = v[: top + 1, keep], h[: top + 1, keep], ladder[:, keep]
     raise RuntimeError("divided-difference series did not converge")
 
 

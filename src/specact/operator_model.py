@@ -24,6 +24,7 @@ the wrap-around slots).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from string import ascii_lowercase
@@ -194,18 +195,30 @@ def _exp_divdiff(spec: Spectrum, t: float) -> MultisetDivDiff:
     return MultisetDivDiff(exp_decay(t), spec.squares)
 
 
+@functools.lru_cache(maxsize=64)
+def _contraction_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """einsum's greedy path for ``expr`` on operands of these shapes; the
+    search reads shapes only, so zero-stride stand-ins take the operands'
+    place and the cache holds paths, never values."""
+    stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(expr, *stand_ins, optimize="greedy")[0])
+
+
 def _cyclic_contract(mats: Sequence[np.ndarray], weight: np.ndarray) -> complex:
     """sum over tuples of (M_0)_{i_0 i_1} ... (M_k)_{i_k i_0} W_{i_0...i_k}.
 
     One factor is a weighted trace with no contraction order to choose, so
-    it skips the path search."""
+    it skips the path search; more factors reuse the path found for the
+    first contraction of their expression and shapes."""
     k = len(mats)
     if k + 1 > len(ascii_lowercase):
         raise ValueError("too many factors for the contraction")
     letters = ascii_lowercase[:k]
     subs = [letters[j] + letters[(j + 1) % k] for j in range(k)]
     expr = ",".join(subs + [letters]) + "->"
-    return complex(np.einsum(expr, *mats, weight, optimize=k > 1))
+    operands = (*mats, weight)
+    path = _contraction_path(expr, tuple(np.shape(m) for m in operands)) if k > 1 else False
+    return complex(np.einsum(expr, *operands, optimize=path))
 
 
 def bracket_dd(

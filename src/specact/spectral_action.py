@@ -78,9 +78,16 @@ def action_exact(spec: Spectrum, a, f: SmoothFunction) -> float:
     return _trace_of(f, np.diag(spec.eigenvalues) + require_hermitian(a, spec.dim))
 
 
+def _unperturbed_trace(spec: Spectrum, f: SmoothFunction) -> float:
+    """tr f(D), summed over the spectrum: no eigen-solve."""
+    return float(np.sum(np.asarray(f(spec.eigenvalues), dtype=float)))
+
+
 # Each route computes a nonempty ascending list of orders in one pass,
 # sharing its tables, contour or eigen-solves across them; the per-order
-# public functions and expand both call into it.
+# public functions and expand both call into it.  A table route builds
+# every level its top order needs at once, then holds one order's tensor
+# at a time.
 
 
 def _dd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: SmoothFunction,
@@ -89,6 +96,7 @@ def _dd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: Smooth
     at each order, over one table of f' on the spectrum."""
     _check_budget(spec.dim, orders[-1], budget)
     table = MultisetDivDiff(f.derivative(), spec.eigenvalues)
+    table._level(orders[-1])
     return [float((_cyclic_contract([mat] * n, table.tensor(n)) / n).real) for n in orders]
 
 
@@ -98,6 +106,7 @@ def _theorem_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
     lam_{i_n}] at each order, over one table of f on the spectrum."""
     _check_budget(spec.dim, orders[-1], budget)
     table = MultisetDivDiff(f, spec.eigenvalues)
+    table._level(orders[-1] + 1)
     return [float((_cyclic_contract([mat] * n, table.doubled_tensor(n)) * n).real) for n in orders]
 
 
@@ -110,6 +119,8 @@ def _bracket_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
         raise ValueError("bracket route needs a function carrying its measure")
     _check_budget(spec.dim, orders[-1], budget)
     tables = [_exp_divdiff(spec, t) for t, _ in mu]
+    for table in tables:
+        table._level(orders[-1] + 1)
     anti = anticommutator_with_d(spec, mat)
     sq = mat @ mat
     out = []
@@ -127,10 +138,35 @@ def _bracket_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
     return out
 
 
+def _resolvent_traces(orders: Sequence[int], mat: np.ndarray, lam: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+    """tr M^n with M = A (z - D)^{-1}, one row per order and one column per
+    point, from running powers of M per block of points:
+    tr M^n = sum_ij (M^a)_ij (M^b)_ji with a = ceil(n/2) and b = floor(n/2),
+    so the top order takes ceil(n/2) - 1 products and only M^a and M^(a-1)
+    are held."""
+    traces = np.empty((len(orders), z.size), dtype=complex)
+    for start in range(0, z.size, CONTOUR_BLOCK):
+        block = slice(start, start + CONTOUR_BLOCK)
+        resolvent = 1.0 / (z[block, None] - lam[None, :])
+        m = mat[None, :, :] * resolvent[:, None, :]
+        below, power, level = None, m, 1
+        for row, n in enumerate(orders):
+            while level < (n + 1) // 2:
+                below = power
+                power, level = below @ m, level + 1
+            if n == 1:
+                traces[row, block] = np.einsum("pii->p", power)
+            else:
+                other = power if n % 2 == 0 else below
+                traces[row, block] = np.einsum("pij,pji->p", power, other)
+    return traces
+
+
 def _contour_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
                     f: SmoothFunction) -> list[float]:
     """(1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz at each order,
-    from one running power of A (z - D)^{-1} per block of contour points."""
+    with every order's traces from one pass over the contour's points."""
     contour = CircleContour.enclosing(spec, f)
     entries = contour.points * spec.dim**2 * orders[-1]
     if entries > CONTOUR_ENTRY_BUDGET:
@@ -138,19 +174,8 @@ def _contour_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
             f"contour needs {contour.points} points x {spec.dim}^2 x order {orders[-1]} = "
             f"{entries} work entries, over budget {CONTOUR_ENTRY_BUDGET}"
         )
-    lam = spec.eigenvalues
     z = contour.nodes()
-    traces = np.empty((len(orders), z.size), dtype=complex)
-    for start in range(0, z.size, CONTOUR_BLOCK):
-        block = slice(start, start + CONTOUR_BLOCK)
-        resolvent = 1.0 / (z[block, None] - lam[None, :])
-        m = mat[None, :, :] * resolvent[:, None, :]
-        power, level = m, 1
-        for row, n in enumerate(orders):
-            for _ in range(n - level):
-                power = power @ m
-            level = n
-            traces[row, block] = np.einsum("pii->p", power)
+    traces = _resolvent_traces(orders, mat, spec.eigenvalues, z)
     fprime = np.asarray(f.deriv_complex(1, z), dtype=complex)
     weights = contour.weights()
     return [float((np.mean(fprime * tr * weights) / n).real) for n, tr in zip(orders, traces)]
@@ -160,12 +185,14 @@ def _fd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: Smooth
                h: float) -> list[float]:
     """Central differences of phi(u) = tr f(D + u A) at steps h and h/2,
     Richardson-extrapolated, at each order.  Orders share stencil points,
-    so phi costs one eigen-solve per distinct u (the same float gives the
-    same matrix, so sharing changes no value)."""
+    so phi costs one eigen-solve per distinct nonzero u (the same float
+    gives the same matrix, so sharing changes no value); phi(0) = tr f(D)
+    is summed over the spectrum, which a solve of the diagonal D + 0 A
+    returns unchanged."""
     if not h > 0.0:
         raise ValueError(f"step must be positive, got {h}")
     d = np.diag(spec.eigenvalues)
-    phi: dict[float, float] = {}
+    phi = {0.0: _unperturbed_trace(spec, f)}
 
     def diff(n: int, step: float) -> float:
         coeff = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)])
@@ -198,7 +225,7 @@ def taylor_term(
         raise ValueError(f"order must be >= 0, got {n}")
     mat = require_hermitian(a, spec.dim)
     if n == 0:
-        return float(np.sum(np.asarray(f(spec.eigenvalues), dtype=float)))
+        return _unperturbed_trace(spec, f)
     return _dd_orders((n,), spec, mat, f, budget)[0]
 
 
@@ -395,15 +422,17 @@ def expand(
     mat = require_hermitian(a, spec.dim)
     # the route runs its checks before any work, so it goes before S_0
     higher = ROUTES[route](range(1, n_max + 1), spec, mat, f, budget, fd_step) if n_max else []
-    contribs = [taylor_term(0, spec, mat, f), *higher]
+    contribs = [_unperturbed_trace(spec, f), *higher]
 
-    exact = action_exact(spec, mat, f)
+    # action_exact on the matrix validated above
+    d = np.diag(spec.eigenvalues)
+    exact = _trace_of(f, d + mat)
     factors = tuple(float(e) for e in scaling_factors)
     scaled = []
     for eps in factors:
         partial = sum(c * eps**k for k, c in enumerate(contribs))
         # at scale 1 the exact action is the one already computed
-        exact_eps = exact if eps == 1.0 else action_exact(spec, eps * mat, f)
+        exact_eps = exact if eps == 1.0 else _trace_of(f, d + eps * mat)
         scaled.append(abs(exact_eps - partial))
     exponent = None
     if all(r > 0.0 for r in scaled) and len(set(factors)) >= 2:

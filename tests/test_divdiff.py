@@ -21,6 +21,7 @@ from specact import (
     square_function,
     step_bitstrings,
 )
+from specact.divdiff import _dd_series, _dd_series_rows
 from specact.functions import SmoothFunction
 from specact.rng import make_rng
 
@@ -416,6 +417,45 @@ class TestMultisetDivDiff:
             ladder_fn=lambda k, x: [np.sin(np.asarray(x) + j * np.pi / 2)
                                     for j in range(k + 1)]),
     }
+
+    @pytest.mark.parametrize("fname", sorted(FUNCTIONS))
+    def test_series_rows_of_mixed_sizes_equal_scalar_series(self, fname):
+        # blocks of 2..7 nodes on spans below SERIES_SPAN, widest first and
+        # one empty, summed in one batch: each row equals the scalar series
+        fn = self.FUNCTIONS[fname]
+        rng = make_rng(5)
+        blocks = [np.sort(rng.uniform(-1.5, 1.5, (rows, 1)) + rng.uniform(0, 0.45, (rows, size)))
+                  for rows, size in ((4, 7), (9, 2), (0, 4), (6, 3), (5, 5), (3, 4))]
+        got = _dd_series_rows(fn, blocks)
+        assert [len(g) for g in got] == [len(b) for b in blocks]
+        for block, values in zip(blocks, got):
+            for row, value in zip(block, values):
+                assert value == _dd_series(fn, row)
+
+    @pytest.mark.parametrize("fname", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_levels_built_at_once_equal_levels_built_one_by_one(self, name, fname):
+        fn = self.FUNCTIONS[fname]
+        at_once = MultisetDivDiff(fn, self.SPECTRA[name])
+        at_once._level(5)
+        one_by_one = MultisetDivDiff(fn, self.SPECTRA[name])
+        for size in range(2, 6):
+            one_by_one._level(size)
+        for size in range(1, 6):
+            assert np.array_equal(at_once._codes[size], one_by_one._codes[size])
+            assert np.array_equal(at_once._values[size], one_by_one._values[size])
+        assert at_once.evaluations == one_by_one.evaluations
+
+    def test_series_overflow_raises_in_both_evaluators(self):
+        # e^{-40 x^2} near x = 4: the Hermite ladder overflows at order 124
+        # while the Gaussian factor is ~1e-280, so a series term is not finite
+        steep = make_gaussian_mixture([(40.0, 1.0)])
+        nodes = [3.9, 3.9, 4.2]
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match="did not converge"):
+                dd_recursive(steep, nodes)
+            with pytest.raises(RuntimeError, match="did not converge"):
+                MultisetDivDiff(steep, np.array(nodes)).tensor(3)
 
     @pytest.mark.parametrize("fname", sorted(FUNCTIONS))
     @pytest.mark.parametrize("name", sorted(SPECTRA))

@@ -27,6 +27,7 @@ from specact import (
 )
 from specact.errors import BudgetExceededError
 from specact.functions import exp_decay
+from specact.operator_model import _cyclic_contract
 from specact.rng import make_rng
 
 
@@ -185,6 +186,24 @@ class TestBracketDD:
         exact = bracket_dd(ops, spec, t)
         est, err = bracket_mc(ops, spec, t, samples=200_000, seed=8)
         assert abs(est - exact) < 3.0 * max(err, 1e-15)
+
+
+class TestCyclicContract:
+    @pytest.mark.parametrize("dim", [1, 3, 7])
+    def test_cached_path_equals_optimized_einsum(self, dim):
+        # distinct complex factors and a real weight, each contraction run
+        # twice so the second reads the cached path; one factor is a plain
+        # weighted trace, with no path to search
+        rng = make_rng(dim)
+        for k in range(1, 6):
+            mats = [random_hermitian(dim, rng) + rng.standard_normal((dim, dim))
+                    for _ in range(k)]
+            weight = rng.standard_normal((dim,) * k)
+            letters = "abcde"[:k]
+            expr = ",".join([letters[j] + letters[(j + 1) % k] for j in range(k)] + [letters])
+            ref = complex(np.einsum(expr + "->", *mats, weight, optimize=k > 1))
+            assert _cyclic_contract(mats, weight) == ref
+            assert _cyclic_contract(mats, weight) == ref
 
 
 class TestBracketIdentities:

@@ -31,7 +31,8 @@ from specact import (
 )
 from specact.errors import BudgetExceededError
 from specact.rng import make_rng
-from specact.spectral_action import ROUTES
+from specact.operator_model import _trace_of, require_hermitian
+from specact.spectral_action import ROUTES, _resolvent_traces
 
 
 def _count_calls(monkeypatch, owner, name: str) -> list:
@@ -301,9 +302,43 @@ class TestExpand:
         expand(spec4, 0.3 * herm4, mix, n_max=2, route="fd", fd_step=0.05)
         # steps h/2 and h (h = 0.05) put order 1 at u = +-h/4, +-h/2 and
         # order 2 at u = h/2, 0, -h/2 and h, 0, -h: 7 distinct u, one solve
-        # each; then the exact action and the scales 1/2 and 1/4 (scale 1
-        # reuses the exact action): 7 + 1 + 2 = 10
-        assert len(calls) == 10
+        # for each of the 6 nonzero ones (phi(0) is summed over the
+        # spectrum); then the exact action and the scales 1/2 and 1/4
+        # (scale 1 reuses the exact action): 6 + 1 + 2 = 9
+        assert len(calls) == 9
+
+    @pytest.mark.parametrize("family", ["random", "dirac", "repeated-half-integer"])
+    def test_fd_phi_at_zero_equals_the_solve(self, mix, family):
+        # the fd route takes phi(0) from the spectrum; a solve of the
+        # diagonal D + 0 A returns the spectrum unchanged, so the two agree
+        # bit for bit
+        for dim in (1, 2, 7, 64, 512):
+            rng = make_rng(dim)
+            if family == "random":
+                spec = random_spectrum(dim, 4.0, rng)
+            elif family == "dirac":
+                spec = dirac_circle_spectrum(dim)
+            else:
+                spec = Spectrum.from_values([k // 2 + 0.5 for k in range(dim)])
+            a = random_hermitian(dim, rng, norm=0.5)
+            solved = _trace_of(mix, np.diag(spec.eigenvalues) + 0.0 * a)
+            assert solved == taylor_term(0, spec, a, mix), (family, dim)
+
+    def test_expand_validates_a_once(self, spec4, herm4, mix, monkeypatch):
+        import specact.spectral_action as sa
+
+        calls = _count_calls(monkeypatch, sa, "require_hermitian")
+        a = 0.3 * herm4
+        report = expand(spec4, a, mix, n_max=2, route="fd")
+        assert len(calls) == 1
+        # S_0 and the exact actions come out as the per-call functions give them
+        monkeypatch.undo()
+        assert report.contributions[0] == taylor_term(0, spec4, a, mix)
+        assert report.exact == action_exact(spec4, a, mix)
+        partial = [sum(c * eps**k for k, c in enumerate(report.contributions))
+                   for eps in report.scaling_factors]
+        exact = [action_exact(spec4, eps * a, mix) for eps in report.scaling_factors]
+        assert report.scaled_remainders == tuple(abs(e - p) for e, p in zip(exact, partial))
 
     def test_contour_builds_one_contour_for_all_orders(self, spec4, herm4, mix, monkeypatch):
         calls = _count_calls(monkeypatch, CircleContour, "nodes")
@@ -423,6 +458,28 @@ class TestCircleContour:
         for n in range(1, 4):
             dd = taylor_term(n, spec, a, f)
             assert abs(taylor_term_contour(n, spec, a, f) - dd) <= 1e-9 * abs(dd)
+
+    @pytest.mark.parametrize("t", [1.0, 40.0])
+    @pytest.mark.parametrize("dim", [1, 3, 12])
+    def test_paired_traces_equal_running_powers(self, dim, t):
+        # tr M^n from M^ceil(n/2) and M^floor(n/2) against the running
+        # power M^n, relative to each order's largest trace
+        rng = make_rng(dim)
+        spec = random_spectrum(dim, 3.0, rng)
+        a = require_hermitian(random_hermitian(dim, rng, norm=0.5))
+        z = CircleContour.enclosing(spec, make_gaussian_mixture([(t, 1.0)])).nodes()
+        orders = list(range(1, 8))
+        paired = _resolvent_traces(orders, a, spec.eigenvalues, z)
+        m = a[None, :, :] / (z[:, None] - spec.eigenvalues[None, :])[:, None, :]
+        power = m
+        for n in orders:
+            running = np.einsum("pii->p", power)
+            assert np.max(np.abs(paired[n - 1] - running)) <= 1e-13 * np.max(np.abs(running))
+            power = power @ m
+        # a lone order takes the same products as the order inside a run
+        for n in orders:
+            assert np.array_equal(_resolvent_traces([n], a, spec.eigenvalues, z)[0],
+                                  paired[n - 1])
 
     def test_circle_has_equal_semi_axes(self):
         c = CircleContour(center=0.5, radius=2.0, points=8)
