@@ -412,12 +412,15 @@ class MultisetDivDiff:
     workhorse behind the tuple-sum tensors of the trace expansions.
 
     Level s holds every size-s multiset in combinations_with_replacement
-    order (their base-K codes ascend, K clusters) and one value array.
-    Level 1 is f at the cluster nodes.  Asking for level s builds every
-    missing level up to s in one pass:
+    order (K clusters) and one value array; level 0 is the empty multiset
+    and level 1 is f at the cluster nodes.  Each level s also holds an
+    extension table ext[s][p, c]: the position in level s of multiset p
+    of level s - 1 with cluster c added.  Every lookup chains ext over
+    its ids in any order, so no key is ever sorted or searched for.
+    Asking for level s builds every missing level up to s in one pass:
 
-      * first the keys and codes of every new level, each from the one
-        below (they depend only on K);
+      * first the keys, extension table and tails of every new level,
+        each from the one below (they depend only on K);
       * then the narrow multisets of all new levels (end nodes at most
         SERIES_SPAN apart, not a single node) as rows of one batched
         centered series;
@@ -443,10 +446,12 @@ class MultisetDivDiff:
         self.cluster_of = np.empty(vals.size, dtype=int)
         self.cluster_of[order] = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
         self.rep = np.array([_representative(run) for run in runs])
-        # level s at index s
+        # level s at index s; a level-1 key's head and tail are the empty key
         k = len(runs)
-        self._keys = [None, np.arange(k)[:, None]]
-        self._codes = [None, np.arange(k)]
+        self._keys = [np.zeros((1, 0), dtype=int), np.arange(k)[:, None]]
+        self._ext = [None, np.arange(k)[None, :]]
+        self._heads = [None, np.zeros(k, dtype=int)]
+        self._tails = [None, np.zeros(k, dtype=int)]
         self._values = [None, np.asarray(fn(self.rep), dtype=float)]
         self._counts = {"node": k, "ladder": 0, "series": 0, "newton": 0}
 
@@ -457,58 +462,65 @@ class MultisetDivDiff:
         return dict(self._counts)
 
     def value(self, idx: Sequence[int]) -> float:
-        return self._evaluate(tuple(sorted(self.cluster_of[i] for i in idx)))
+        if not len(idx):
+            raise ValueError("need at least one index")
+        values = self._level(len(idx))
+        pos = 0
+        for s, i in enumerate(idx, 1):
+            pos = self._ext[s][pos, self.cluster_of[i]]
+        return float(values[pos])
 
-    def _evaluate(self, key: tuple[int, ...]) -> float:
-        """Divided difference over the sorted cluster-id multiset ``key``."""
-        codes, values = self._level(len(key))
-        code = 0
-        for c in key:
-            code = code * len(self.rep) + int(c)
-        return float(values[np.searchsorted(codes, code)])
-
-    def _level(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Codes and values of every size-``size`` multiset."""
+    def _level(self, size: int) -> np.ndarray:
+        """Values of every size-``size`` multiset."""
         if len(self._values) <= size:
             self._build(size)
-        return self._codes[size], self._values[size]
+        return self._values[size]
 
     def _build(self, top: int) -> None:
         """Build every level from the smallest missing one up to ``top``:
         all keys, then one series batch, then the Newton and confluent
         steps level by level."""
         k = len(self.rep)
+        ids = np.arange(k)
         sizes = range(len(self._values), top + 1)
         steps, narrow_rows = [], []
-        for _ in sizes:
-            # each key of level s - 1 gains one last id >= its own last one,
-            # in ascending order; the key it extends is its head, key[:-1]
-            prev_keys, prev_codes = self._keys[-1], self._codes[-1]
+        for s in sizes:
+            # each key p of level s - 1 gains one last id >= its own last
+            # one, in ascending order from start[p]; p is their head
+            prev_keys = self._keys[s - 1]
             last = prev_keys[:, -1]
             grow = k - last
+            start = np.cumsum(grow) - grow
             head = np.repeat(np.arange(len(prev_keys)), grow)
-            new = np.arange(len(head)) - np.repeat(np.cumsum(grow) - grow, grow) + last[head]
+            new = np.arange(len(head)) - start[head] + last[head]
             keys = np.column_stack((prev_keys[head], new))
+            # p plus c < last(p) is the child with last id last(p) of q,
+            # head(p) plus c
+            q = self._ext[s - 1][self._heads[s - 1]]
+            last_col = last[:, None]
+            ext = np.where(ids >= last_col, start[:, None] + ids - last_col,
+                           start[q] + (last_col - last[q]))
+            # the smallest dtype that fits keeps the tables small beside a tensor
+            self._ext.append(ext.astype(np.min_scalar_type(len(keys))))
+            # the tail key[1:] is the previous tail plus the new last id
+            self._tails.append(self._ext[s - 1][self._tails[s - 1][head], new])
+            self._heads.append(head.astype(np.min_scalar_type(len(prev_keys))))
             self._keys.append(keys)
-            self._codes.append(prev_codes[head] * k + new)
             confluent = keys[:, 0] == new
             wide = self.rep[new] - self.rep[keys[:, 0]] > SERIES_SPAN
             narrow = ~(wide | confluent)
-            steps.append((head, confluent, wide, narrow))
+            steps.append((confluent, wide, narrow))
             narrow_rows.append(self.rep[keys[narrow]])
         series = _dd_series_rows(self.fn, narrow_rows)
         ladder = self.fn.deriv_ladder(top - 1, self.rep)
-        for s, (head, confluent, wide, narrow), narrow_values in zip(sizes, steps, series):
-            keys, codes = self._keys[s], self._codes[s]
-            prev_codes, prev_values = self._codes[s - 1], self._values[s - 1]
+        for s, (confluent, wide, narrow), narrow_values in zip(sizes, steps, series):
+            keys, prev_values = self._keys[s], self._values[s - 1]
             values = np.empty(len(keys))
             values[narrow] = narrow_values
             self._counts["series"] += len(narrow_values)
-            # the tail key[1:] drops the leading digit of the code
-            first = keys[wide, 0]
-            lo, hi = self.rep[first], self.rep[keys[wide, -1]]
-            tail = np.searchsorted(prev_codes, codes[wide] - first * k ** (s - 1))
-            values[wide] = (prev_values[tail] - prev_values[head[wide]]) / (hi - lo)
+            lo, hi = self.rep[keys[wide, 0]], self.rep[keys[wide, -1]]
+            tail, head = self._tails[s][wide], self._heads[s][wide]
+            values[wide] = (prev_values[tail] - prev_values[head]) / (hi - lo)
             self._counts["newton"] += len(tail)
             inv_fact = 1.0
             for j in range(1, s):
@@ -519,51 +531,33 @@ class MultisetDivDiff:
 
     def tensor(self, slots: int) -> np.ndarray:
         """Dense array T[i_0...i_{slots-1}] of divided-difference values."""
-        return self._scatter(slots, doubled=False)
+        return self._gather(slots, doubled=False)
 
     def doubled_tensor(self, slots: int) -> np.ndarray:
         """Dense array T[i_0...i_{slots-1}] = value((i_0, ..., i_{slots-1},
         i_{slots-1})), with the last slot's node repeated."""
-        return self._scatter(slots, doubled=True)
+        return self._gather(slots, doubled=True)
 
-    def _scatter(self, slots: int, doubled: bool) -> np.ndarray:
-        """Scatter one level's values over the index grid in bulk.
+    def _gather(self, slots: int, doubled: bool) -> np.ndarray:
+        """Gather one level's values over the index grid.
 
-        A grid row's cluster ids are sorted, encoded and located by
-        searchsorted in the level's ascending codes.  The trailing slots'
-        ids are sorted once by a compare-exchange network on whole
-        columns; each leading index is then merged in by one more pass, so
-        the transient arrays hold dim^(slots-1) rows, not dim^slots.
+        The leading slots' positions grow one slot at a time from the empty
+        multiset, each step a gather of rows of ext[s][:, cluster_of].  The
+        last slot (twice when doubled) is folded into one row of values per
+        position, so the final gather writes the tensor directly and no
+        index array holds more than dim^(slots-1) entries.
         """
         if slots < 1:
             raise ValueError(f"need at least one slot, got {slots}")
-        size = slots + doubled
-        codes, values = self._level(size)
-        k = len(self.rep)
-        dim = len(self.cluster_of)
-        ids = self.cluster_of.astype(np.min_scalar_type(k))
-        shape = (dim,) * (slots - 1)
-        cols = [
-            np.broadcast_to(ids.reshape((dim,) + (1,) * (slots - 2 - axis)), shape)
-            for axis in range(slots - 1)
-        ]
-        if doubled and slots > 1:
-            cols.append(cols[-1])
-        for stop in range(len(cols) - 1, 0, -1):
-            for j in range(stop):
-                a, b = cols[j], cols[j + 1]
-                cols[j], cols[j + 1] = np.minimum(a, b), np.maximum(a, b)
-        out = np.empty((dim,) * slots)
-        for lead in range(dim):
-            carry = ids[lead]
-            code = np.int64(0)
-            for col in cols:
-                code = code * k + np.minimum(carry, col)
-                carry = np.maximum(carry, col)
-            for _ in range(size - len(cols)):
-                code = code * k + carry
-            out[lead] = values[np.searchsorted(codes, code)]
-        return out
+        values = self._level(slots + doubled)
+        ids = self.cluster_of
+        pos = 0
+        for s in range(1, slots):
+            pos = self._ext[s][:, ids][pos]
+        last = self._ext[slots][:, ids]
+        if doubled:
+            last = self._ext[slots + 1][last, ids]
+        return values[last][pos]
 
 
 def _dd_series_rows(f: SmoothFunction, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -332,6 +333,8 @@ class TestMultisetDivDiff:
         for build in (table.tensor, table.doubled_tensor):
             with pytest.raises(ValueError, match="slot"):
                 build(0)
+        with pytest.raises(ValueError, match="index"):
+            table.value(())
 
     def test_degenerate_values_confluent(self, mix):
         table = MultisetDivDiff(mix, np.array([0.5, 0.5]))
@@ -353,7 +356,7 @@ class TestMultisetDivDiff:
 
     @staticmethod
     def looped(table, slots, doubled=False):
-        """The per-tuple fill the bulk scatter replaces."""
+        """The per-tuple fill through ``value``."""
         dim = len(table.cluster_of)
         out = np.empty((dim,) * slots)
         for idx in np.ndindex(out.shape):
@@ -386,6 +389,74 @@ class TestMultisetDivDiff:
             ref = self.looped(MultisetDivDiff(mix, values), slots, doubled=True)
             assert np.array_equal(bulk, ref), (name, slots)
 
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_tensor_entries_equal_recursive_on_sorted_clusters(self, mix, name):
+        # independent of the extension tables: each entry against a scalar
+        # table over its sorted cluster nodes, one per distinct multiset
+        table = MultisetDivDiff(mix, self.SPECTRA[name])
+        memo = {}
+
+        def reference(ids):
+            key = tuple(sorted(ids))
+            if key not in memo:
+                memo[key] = dd_recursive(mix, NodeList(tuple(table.rep[list(key)]), merge_tol=0.0))
+            return memo[key]
+
+        for doubled, top in ((False, 4), (True, 3)):
+            build = table.doubled_tensor if doubled else table.tensor
+            for slots in range(1, top + 1):
+                got = build(slots)
+                for idx in np.ndindex(got.shape):
+                    ids = [int(table.cluster_of[i]) for i in idx]
+                    ids += ids[-1:] if doubled else []
+                    assert got[idx] == reference(ids), (name, doubled, idx)
+
+    @staticmethod
+    def structure_faults(table, top):
+        """Every level-s key whose extension, head or tail entry names the
+        wrong key of its neighbouring level, for s = 1..top."""
+        keys = [[tuple(int(c) for c in key) for key in level] for level in table._keys]
+        faults = []
+        for s in range(1, top + 1):
+            ext = table._ext[s]
+            for p, key in enumerate(keys[s - 1]):
+                for c in range(len(table.rep)):
+                    if keys[s][ext[p, c]] != tuple(sorted(key + (c,))):
+                        faults.append(("ext", s, p, c))
+            for j, key in enumerate(keys[s]):
+                if keys[s - 1][table._heads[s][j]] != key[:-1]:
+                    faults.append(("head", s, j))
+                if keys[s - 1][table._tails[s][j]] != key[1:]:
+                    faults.append(("tail", s, j))
+        return faults
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_extension_tables_name_the_grown_keys(self, mix, name):
+        table = MultisetDivDiff(mix, self.SPECTRA[name])
+        table._level(5)
+        k = len(table.rep)
+        for s in range(1, 6):
+            assert [tuple(key) for key in table._keys[s]] == list(
+                combinations_with_replacement(range(k), s))
+        assert self.structure_faults(table, 5) == []
+        # one entry off by one is caught
+        table._ext[3][1, 0] += 1
+        assert ("ext", 3, 1, 0) in self.structure_faults(table, 5)
+
+    def test_tensor_memory_stays_near_its_size(self):
+        # N = 25, order 5: 9.8e6 entries, the tuple budget's edge; an index
+        # array over the whole grid would add most of another tensor
+        fn = make_gaussian_mixture([(1.0, 1.0)]).derivative()
+        table = MultisetDivDiff(fn, make_rng(5).uniform(-2, 2, 25))
+        table._level(5)
+        tracemalloc.start()
+        try:
+            tensor = table.tensor(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * tensor.nbytes
+
     def test_each_multiset_evaluated_once(self, mix, monkeypatch):
         import specact.divdiff as divdiff_module
 
@@ -404,8 +475,9 @@ class TestMultisetDivDiff:
         assert counts["node"] == 4 and counts["ladder"] == 12
         assert counts["series"] > 0 and counts["newton"] > 0
         # every order-4 multiset is held, and a second tensor evaluates nothing
+        first = [int(np.flatnonzero(table.cluster_of == c)[0]) for c in range(4)]
         for key in combinations_with_replacement(range(4), 4):
-            table._evaluate(key)
+            table.value([first[c] for c in key])
         table.tensor(4)
         assert table.evaluations == counts
 
@@ -442,8 +514,8 @@ class TestMultisetDivDiff:
         for size in range(2, 6):
             one_by_one._level(size)
         for size in range(1, 6):
-            assert np.array_equal(at_once._codes[size], one_by_one._codes[size])
-            assert np.array_equal(at_once._values[size], one_by_one._values[size])
+            for attr in ("_keys", "_ext", "_heads", "_tails", "_values"):
+                assert np.array_equal(getattr(at_once, attr)[size], getattr(one_by_one, attr)[size])
         assert at_once.evaluations == one_by_one.evaluations
 
     def test_series_overflow_raises_in_both_evaluators(self):
@@ -462,7 +534,9 @@ class TestMultisetDivDiff:
     def test_memoised_values_equal_newton_table(self, name, fname):
         fn = self.FUNCTIONS[fname]
         table = MultisetDivDiff(fn, self.SPECTRA[name])
+        first = [int(np.flatnonzero(table.cluster_of == c)[0]) for c in range(len(table.rep))]
         for order in range(1, 6):
             for key in combinations_with_replacement(range(len(table.rep)), order + 1):
                 nodes = NodeList(tuple(table.rep[list(key)]), merge_tol=0.0)
-                assert table._evaluate(key) == dd_recursive(fn, nodes), key
+                # looked up with the ids in descending order
+                assert table.value([first[c] for c in key[::-1]]) == dd_recursive(fn, nodes), key
