@@ -246,7 +246,10 @@ class CircleContour:
     """Ellipse center + radius cos(theta) + i imag_radius sin(theta) at
     equispaced theta; a circle when ``imag_radius`` is None.  The
     trapezoid rule (1/2 pi i) oint g dz = mean(g(nodes) * weights())
-    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    real_integral folds it onto theta in [0, pi], which needs the real
+    center and g(conj z) = conj g(z): real poles, f real on the reals and,
+    in the resolvent route, a Hermitian A."""
 
     center: float
     radius: float
@@ -296,6 +299,20 @@ class CircleContour:
         theta = self._angles()
         return self.imag_radius * np.cos(theta) + 1j * self.radius * np.sin(theta)
 
+    def _fold_weights(self) -> np.ndarray:
+        """c_k: 1 at a node that is its own conjugate (theta = 0, and pi
+        when points is even), else 2."""
+        c = np.full(self.points // 2 + 1, 2.0)
+        c[0], c[-1] = 1.0, 1.0 + self.points % 2
+        return c
+
+    def real_integral(self, integrand) -> np.ndarray:
+        """Re (1/2 pi i) oint g dz = (1/points) sum_k c_k Re(g_k w_k) over the
+        nodes k = 0..points//2, g = integrand(z) along its last axis."""
+        upper = self.points // 2 + 1
+        vals = np.asarray(integrand(self.nodes()[:upper])) * self.weights()[:upper]
+        return np.sum(vals.real * self._fold_weights(), axis=-1) / self.points
+
     def require_inside(self, xs) -> None:
         """Raise unless every real point of ``xs`` lies strictly inside."""
         dist = float(np.max(np.abs(np.asarray(xs) - self.center)))
@@ -312,19 +329,18 @@ def dd_contour(
 ) -> float:
     """Trapezoid value of the Cauchy contour form on a circle.
 
-    (1/2 pi i) oint f(z) / prod_i (z - x_i) dz over |z - center| = radius,
-    discretized at ``points`` equispaced angles.  Repeated nodes raise the
-    pole order, so confluent cases need no special handling.  Every node
-    must lie strictly inside the circle.  The error decays geometrically
-    in ``points`` for functions analytic in a neighbourhood of the disc.
+    (1/2 pi i) oint f(z) / prod_i (z - x_i) dz over |z - center| = radius
+    at ``points`` equispaced angles, folded onto the upper half: f must be
+    real on the reals, f(conj z) = conj f(z), as every function built here
+    is.  Repeated nodes raise the pole order, so confluent cases need no
+    special handling.  Every node must lie strictly inside the circle; the
+    error decays geometrically in ``points`` when f is analytic near it.
     """
     xs = np.asarray(as_nodes(nodes).nodes)
     circle = CircleContour(center, radius, points)
     circle.require_inside(xs)
-    z = circle.nodes()
-    denom = np.prod(z[:, None] - xs[None, :], axis=1)
-    vals = np.asarray(f.eval_complex(z), dtype=complex)
-    return float(np.mean(vals * circle.weights() / denom).real)
+    return float(circle.real_integral(
+        lambda z: f.eval_complex(z) / np.prod(z[:, None] - xs[None, :], axis=1)))
 
 
 def step_bitstrings(n: int) -> list[tuple[int, ...]]:

@@ -15,6 +15,8 @@ against one another:
                        integral of <1, B_1, ..., B_k>_k dmu(t) with
                        B_i = {D, A} for eps_i = 0 and A^2 for eps_i = 1
   ..._contour          (1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz
+                       on the upper half of an ellipse (real spectrum,
+                       Hermitian A, f real on the reals)
   gateaux_fd           central finite differences of u -> tr f(D + u A)
                        with one Richardson extrapolation (the only route
                        that never touches divided differences); its
@@ -68,8 +70,8 @@ __all__ = [
     "tadpole_check",
 ]
 
-# the contour route fills points * N^2 work entries per power of the
-# resolvent product, and refuses a contour and order that need more
+# the contour route refuses a contour and order needing more than this many
+# points * N^2 entries per resolvent power, counting all points, not the half it fills
 CONTOUR_ENTRY_BUDGET = 10**9
 
 
@@ -166,7 +168,7 @@ def _resolvent_traces(orders: Sequence[int], mat: np.ndarray, lam: np.ndarray,
 def _contour_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
                     f: SmoothFunction) -> list[float]:
     """(1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz at each order,
-    with every order's traces from one pass over the contour's points."""
+    with every order's traces from one pass over the contour's upper half."""
     contour = CircleContour.enclosing(spec, f)
     entries = contour.points * spec.dim**2 * orders[-1]
     if entries > CONTOUR_ENTRY_BUDGET:
@@ -174,11 +176,9 @@ def _contour_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
             f"contour needs {contour.points} points x {spec.dim}^2 x order {orders[-1]} = "
             f"{entries} work entries, over budget {CONTOUR_ENTRY_BUDGET}"
         )
-    z = contour.nodes()
-    traces = _resolvent_traces(orders, mat, spec.eigenvalues, z)
-    fprime = np.asarray(f.deriv_complex(1, z), dtype=complex)
-    weights = contour.weights()
-    return [float((np.mean(fprime * tr * weights) / n).real) for n, tr in zip(orders, traces)]
+    sums = contour.real_integral(
+        lambda z: f.deriv_complex(1, z) * _resolvent_traces(orders, mat, spec.eigenvalues, z))
+    return [float(total / n) for n, total in zip(orders, sums)]
 
 
 def _fd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: SmoothFunction,
@@ -271,8 +271,10 @@ def taylor_term_contour(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
 
     (1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz, discretized by
     the trapezoid rule on the ellipse CircleContour.enclosing sizes from
-    the spectrum and f; f needs a complex-argument derivative.  A contour
-    whose work exceeds CONTOUR_ENTRY_BUDGET is refused before any work.
+    the spectrum and f, folded onto its upper half; f needs a complex
+    derivative and must be real on the reals (f(conj z) = conj f(z), as
+    every function built here is).  A contour whose work exceeds
+    CONTOUR_ENTRY_BUDGET is refused before any work.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")

@@ -12,15 +12,18 @@ from specact import (
     Spectrum,
     action_exact,
     commutator_with_d,
+    dd_contour,
     dirac_circle_spectrum,
     epsilon_enumerate,
     epsilon_parent_move_count,
+    exp_decay,
     expand,
     gateaux_fd,
     gateaux_fd_mixed,
     linear_spectrum,
     make_gaussian_mixture,
     one_form,
+    polynomial_function,
     random_hermitian,
     random_spectrum,
     tadpole_check,
@@ -32,7 +35,7 @@ from specact import (
 from specact.errors import BudgetExceededError
 from specact.rng import make_rng
 from specact.operator_model import _trace_of, require_hermitian
-from specact.spectral_action import ROUTES, _resolvent_traces
+from specact.spectral_action import ROUTES, _contour_orders, _resolvent_traces
 
 
 def _count_calls(monkeypatch, owner, name: str) -> list:
@@ -500,3 +503,106 @@ class TestCircleContour:
         for points in (1, 2.5, 256.5, True):
             with pytest.raises(ValueError):
                 CircleContour(center=0.0, radius=1.0, points=points)
+
+
+# the folded rule against the whole-ellipse trapezoid mean, and the copies
+# of the fold weights c_k that the comparison must catch
+FOLD_TOL = 1e-13
+FOLD_ORDERS = (1, 2, 3, 4)
+FOLD_MUTANTS = {
+    "exact": None,
+    "factor-2-dropped": lambda c: np.ones_like(c),
+    "theta-0-doubled": lambda c: np.concatenate(([2.0], c[1:])),
+    "theta-pi-doubled": lambda c: np.concatenate((c[:-1], [2.0])),
+}
+
+
+def _full_mean(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re mean(g) and mean |g| over the whole ellipse, along the last axis."""
+    return g.mean(axis=-1).real, np.abs(g).mean(axis=-1)
+
+
+@pytest.fixture(scope="module")
+def resolvent_fold_cases():
+    """(spec, A, f, full-ellipse value, mean |g|) per order, for linear,
+    random and pairwise-repeated spectra at N = 1, 2, 8, 64 and a
+    one-atom Gaussian at t = 1e-4, 1, 40."""
+    cases = []
+    for dim in (1, 2, 8, 64):
+        rng = make_rng(dim)
+        a = require_hermitian(random_hermitian(dim, rng, norm=0.5))
+        pairs = np.repeat(rng.uniform(-2.0, 2.0, (dim + 1) // 2), 2)[:dim]
+        spectra = (linear_spectrum(dim), random_spectrum(dim, 3.0, rng),
+                   Spectrum(np.sort(pairs)))
+        for t in (1e-4, 1.0, 40.0):
+            f = make_gaussian_mixture([(t, 1.0)])
+            for spec in spectra:
+                contour = CircleContour.enclosing(spec, f)
+                z = contour.nodes()
+                g = (f.deriv_complex(1, z) * _resolvent_traces(FOLD_ORDERS, a, spec.eigenvalues, z)
+                     * contour.weights() / np.array(FOLD_ORDERS)[:, None])
+                cases.append((spec, a, f, *_full_mean(g)))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def divdiff_fold_cases():
+    """(f, nodes, circle, full-circle value, mean |g|) for 20 node sets,
+    some with repeated nodes, at each of 63, 64, 255, 256 and 257 points.
+    No steep atom: at t = 40 a circle of radius 2 meets |f| = e^160, and
+    the whole circle's nodes, mirrored only to 1.5e-15, move that
+    reference by 1e-13 of mean |g|."""
+    rng = make_rng(14)
+    functions = (make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)]),
+                 make_gaussian_mixture([(4.0, 1.0)]), exp_decay(1.5),
+                 polynomial_function([0.5, -1.0, 0.0, 2.0, 0.25]))
+    cases = []
+    for points in (63, 64, 255, 256, 257):
+        for k in range(20):
+            nodes = rng.uniform(-1.0, 1.0, 1 + k % 5)
+            nodes = np.concatenate((nodes, nodes[: k % 3]))
+            center = float(rng.uniform(-0.5, 0.5))
+            circle = CircleContour(center, float(np.max(np.abs(nodes - center))) + 1.0, points)
+            f = functions[k % len(functions)]
+            z = circle.nodes()
+            g = f.eval_complex(z) * circle.weights() / np.prod(z[:, None] - nodes[None, :], axis=1)
+            cases.append((f, nodes, circle, *_full_mean(g)))
+    return cases
+
+
+def _worst_fold_error(monkeypatch, mutant: str, cases, folded) -> float:
+    """max |folded - full| / mean |g| over the cases, with the fold weights
+    replaced by the named mutant."""
+    with monkeypatch.context() as m:
+        if FOLD_MUTANTS[mutant] is not None:
+            exact = CircleContour._fold_weights
+            m.setattr(CircleContour, "_fold_weights",
+                      lambda self: FOLD_MUTANTS[mutant](exact(self)))
+        return max(float(np.max(np.abs(np.asarray(folded(*case[:3])) - case[3]) / case[4]))
+                   for case in cases)
+
+
+class TestFoldedQuadrature:
+    """The upper-half rule equals the whole-ellipse trapezoid sum up to
+    rounding, and a copy that drops the factor 2 or doubles an end node
+    is caught."""
+
+    @pytest.mark.parametrize("mutant", FOLD_MUTANTS)
+    def test_contour_orders_fold_equals_full_ellipse(self, resolvent_fold_cases, monkeypatch,
+                                                     mutant):
+        # a mutant caught below N = 64 fails the whole sweep, so it skips
+        # the N = 64 cases, which hold most of the sweep's work
+        cases = [case for case in resolvent_fold_cases
+                 if mutant == "exact" or case[0].dim < 64]
+        worst = _worst_fold_error(
+            monkeypatch, mutant, cases,
+            lambda spec, a, f: _contour_orders(FOLD_ORDERS, spec, a, f))
+        assert (worst <= FOLD_TOL) == (mutant == "exact"), worst
+
+    @pytest.mark.parametrize("mutant", FOLD_MUTANTS)
+    def test_dd_contour_fold_equals_full_circle(self, divdiff_fold_cases, monkeypatch, mutant):
+        worst = _worst_fold_error(
+            monkeypatch, mutant, divdiff_fold_cases,
+            lambda f, nodes, circle: dd_contour(f, nodes, circle.center, circle.radius,
+                                                circle.points))
+        assert (worst <= FOLD_TOL) == (mutant == "exact"), worst
