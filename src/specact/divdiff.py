@@ -287,17 +287,19 @@ class CircleContour:
         points = CONTOUR_BLOCK * math.ceil(radius / (16.0 * imag))
         return cls(center=center, radius=radius, points=points, imag_radius=imag)
 
-    def _angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.points) / self.points
+    def _nodes_weights(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``count`` nodes and their weights, from one cos and one sin."""
+        theta = 2.0 * np.pi * np.arange(count) / self.points
+        cos, sin = np.cos(theta), np.sin(theta)
+        return (self.center + self.radius * cos + 1j * self.imag_radius * sin,
+                self.imag_radius * cos + 1j * self.radius * sin)
 
     def nodes(self) -> np.ndarray:
-        theta = self._angles()
-        return self.center + self.radius * np.cos(theta) + 1j * self.imag_radius * np.sin(theta)
+        return self._nodes_weights(self.points)[0]
 
     def weights(self) -> np.ndarray:
         """dz/dtheta divided by i at each node."""
-        theta = self._angles()
-        return self.imag_radius * np.cos(theta) + 1j * self.radius * np.sin(theta)
+        return self._nodes_weights(self.points)[1]
 
     def _fold_weights(self) -> np.ndarray:
         """c_k: 1 at a node that is its own conjugate (theta = 0, and pi
@@ -309,8 +311,8 @@ class CircleContour:
     def real_integral(self, integrand) -> np.ndarray:
         """Re (1/2 pi i) oint g dz = (1/points) sum_k c_k Re(g_k w_k) over the
         nodes k = 0..points//2, g = integrand(z) along its last axis."""
-        upper = self.points // 2 + 1
-        vals = np.asarray(integrand(self.nodes()[:upper])) * self.weights()[:upper]
+        z, w = self._nodes_weights(self.points // 2 + 1)
+        vals = np.asarray(integrand(z)) * w
         return np.sum(vals.real * self._fold_weights(), axis=-1) / self.points
 
     def require_inside(self, xs) -> None:
@@ -480,6 +482,8 @@ class MultisetDivDiff:
     def value(self, idx: Sequence[int]) -> float:
         if not len(idx):
             raise ValueError("need at least one index")
+        if not all(0 <= i < len(self.cluster_of) for i in idx):
+            raise ValueError(f"indices must lie in 0..{len(self.cluster_of) - 1}: {tuple(idx)}")
         values = self._level(len(idx))
         pos = 0
         for s, i in enumerate(idx, 1):
@@ -580,60 +584,81 @@ def _dd_series_rows(f: SmoothFunction, blocks: Sequence[np.ndarray]) -> list[np.
     """_dd_series on every row of every block at once, one value array per
     block; the rows of one block hold equally many nodes.
 
-    Each row is centred by its own block's mean and padded with zero
-    offsets to the widest block; a zero offset leaves every h_k unchanged,
-    so a row reads h at its own order n.  All rows share one ladder at
-    their centres.  Each row sums the same terms in the same order as the
-    scalar series and stops at the term where it stops; stopped rows leave
-    the working arrays.
+    Rows are centred by their own block's mean, padded with zero offsets
+    v_m to top + 1 nodes, and share one ladder at their centres.  One
+    diagonal step per term, g[m] <- g[m-1] + v_m g[m] on
+    g[m] = h_{d-m}(v_0..v_m), is the scalar series' multiply and add; a
+    zero offset adds nothing, so g[top] on diagonal top + k is h_k at each
+    row's own n.  The terms one ladder covers form a block: accumulate
+    calls give their coefficients, running totals and running scales in
+    the scalar order, and a row stops at its first two small terms in a
+    row.  Rows still live rebuild the ladder twice as long.
     """
     counts = [len(b) for b in blocks]
     if not sum(counts):
         return [np.empty(0) for _ in blocks]
     width = max(b.shape[1] for b in blocks)
     n = np.repeat([b.shape[1] - 1 for b in blocks], counts)
-    centers = [np.mean(b, axis=1) for b in blocks]
-    center = np.concatenate(centers)
+    center = np.concatenate([np.mean(b, axis=1) for b in blocks])
     v = np.zeros((width, len(n)))
-    for b, c, start in zip(blocks, centers, np.cumsum(counts) - counts):
-        v[: b.shape[1], start : start + len(b)] = (b - c[:, None]).T
-    h = np.ones_like(v)
-    out = np.empty(len(n))
-    live = rows = np.arange(len(n))
-    top = width - 1
+    for b, start in zip(blocks, np.cumsum(counts) - counts):
+        v[: b.shape[1], start : start + len(b)] = (b - center[start : start + len(b), None]).T
+    # diagonal 0 holds h_0(v_0) = 1 and h_{-m} = 0; the first sweep starts top steps early
+    g = np.zeros_like(v)
+    g[0] = 1.0
+    out, live = np.empty(len(n)), np.arange(len(n))
+    lag = top = width - 1
     coef = np.array([1.0 / math.factorial(j) for j in range(width)])[n]
     ladder = np.array(f.deriv_ladder(top + SERIES_LADDER, center))
-    total = ladder[n, rows] * coef
+    total = ladder[n, live] * coef
     scale = np.abs(total)
-    small = np.zeros(len(n), dtype=int)
-    for k in range(1, 200):
-        coef /= n + k
-        prev = v[0] * h[0]
-        h[0] = prev
-        for m in range(1, top + 1):
-            prev = prev + v[m] * h[m]
-            h[m] = prev
+    small = np.zeros(len(n), dtype=bool)
+    k = 1
+    while k < 200:
         if top + k >= len(ladder):
             ladder = np.array(f.deriv_ladder(min(2 * (len(ladder) - 1), top + 199), center))
-        term = ladder[n + k, rows] * coef * h[n, rows]
-        total += term
-        scale = np.maximum(scale, np.abs(total))
-        small = np.where(np.abs(term) <= 1e-17 * scale + 1e-300, small + 1, 0)
-        done = small >= 2
-        if done.any():
-            # a non-finite term leaves the sum non-finite: the ladder overflowed
-            if not np.all(np.isfinite(total[done])):
-                break
-            out[live[done]] = total[done]
-            keep = ~done
-            live, center, total, scale, small, n, coef = (
-                x[keep] for x in (live, center, total, scale, small, n, coef)
-            )
-            if not len(live):
-                return np.split(out, np.cumsum(counts)[:-1])
-            top = int(n.max())
-            rows = rows[: len(live)]
-            v, h, ladder = v[: top + 1, keep], h[: top + 1, keep], ladder[:, keep]
+        # one row per term this ladder covers: (ladder * coef) * h, as the scalar series
+        work = n + np.arange(k, min(len(ladder) - top, 200))[:, None]
+        terms = ladder[work, np.arange(len(n))]
+        work = work.astype(float)
+        work[0] = coef / work[0]
+        np.divide.accumulate(work, axis=0, out=work)
+        terms *= work
+        coef = work[-1].copy()
+        spare = np.empty_like(g)
+        for row in range(-lag, len(work)):
+            np.multiply(v, g, out=spare)
+            spare[1:] += g[:-1]
+            g, spare = spare, g
+            work[max(row, 0)] = g[-1]
+        del spare
+        terms *= work
+        totals = terms.copy()
+        totals[0] += total
+        np.cumsum(totals, axis=0, out=totals)
+        np.abs(totals, out=work)
+        np.maximum(work[0], scale, out=work[0])
+        np.maximum.accumulate(work, axis=0, out=work)
+        scale = work[-1].copy()
+        work *= 1e-17
+        work += 1e-300
+        # is_small[i] tests term k + i - 1; a row stops at the second of two in a row
+        is_small = np.vstack((small, np.abs(terms, out=terms) <= work))
+        small = is_small[-1].copy()
+        is_small[1:] &= is_small[:-1]
+        done = is_small[1:].any(axis=0)
+        at = is_small[1:].argmax(axis=0)[done]
+        # a non-finite term leaves the sum non-finite: the ladder overflowed
+        if not np.all(np.isfinite(totals[at, done])):
+            break
+        out[live[done]] = totals[at, done]
+        if done.all():
+            return np.split(out, np.cumsum(counts)[:-1])
+        k, lag, keep = k + len(work), 0, ~done
+        live, center, n, coef, scale, small, total, v, g, ladder = (
+            x[..., keep] for x in (live, center, n, coef, scale, small, totals[-1], v, g, ladder))
+        top = int(n.max())
+        del terms, totals, work  # before a longer ladder is built
     raise RuntimeError("divided-difference series did not converge")
 
 

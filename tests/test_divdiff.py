@@ -22,7 +22,7 @@ from specact import (
     square_function,
     step_bitstrings,
 )
-from specact.divdiff import _dd_series, _dd_series_rows
+from specact.divdiff import SERIES_LADDER, _dd_series, _dd_series_rows
 from specact.functions import SmoothFunction
 from specact.rng import make_rng
 
@@ -336,6 +336,14 @@ class TestMultisetDivDiff:
         with pytest.raises(ValueError, match="index"):
             table.value(())
 
+    def test_value_rejects_indices_outside_the_nodes(self, mix):
+        # numpy would wrap -1 round to the last node and read f(2.0)
+        table = MultisetDivDiff(mix, np.array([0.0, 1.0, 2.0]))
+        for idx in ((-1,), (3,), (0, -1), (2, 0, 3)):
+            with pytest.raises(ValueError, match="indices"):
+                table.value(idx)
+        assert table.value((2,)) == mix(2.0)
+
     def test_degenerate_values_confluent(self, mix):
         table = MultisetDivDiff(mix, np.array([0.5, 0.5]))
         assert table.value((0, 1)) == pytest.approx(mix.deriv(1, 0.5), rel=1e-12)
@@ -485,6 +493,10 @@ class TestMultisetDivDiff:
         "mixture-derivative": make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)]).derivative(),
         "exp-decay": exp_decay(1.3),
         "steep-t40": make_gaussian_mixture([(40.0, 1.0)]),
+        # about 0, for three nodes centred there, the series' terms 3 and 4
+        # sit below 1e-17 of the sum and term 5 does not: a stop test read
+        # against a stale scale sums on past the pause
+        "paused-polynomial": polynomial_function([0, 0, 1e-30, 0, 1, 1e-25, 1e-25, 1]),
         "sine": SmoothFunction(
             ladder_fn=lambda k, x: [np.sin(np.asarray(x) + j * np.pi / 2)
                                     for j in range(k + 1)]),
@@ -496,13 +508,43 @@ class TestMultisetDivDiff:
         # one empty, summed in one batch: each row equals the scalar series
         fn = self.FUNCTIONS[fname]
         rng = make_rng(5)
-        blocks = [np.sort(rng.uniform(-1.5, 1.5, (rows, 1)) + rng.uniform(0, 0.45, (rows, size)))
-                  for rows, size in ((4, 7), (9, 2), (0, 4), (6, 3), (5, 5), (3, 4))]
-        got = _dd_series_rows(fn, blocks)
-        assert [len(g) for g in got] == [len(b) for b in blocks]
-        for block, values in zip(blocks, got):
-            for row, value in zip(block, values):
-                assert value == _dd_series(fn, row)
+        mixed = [np.sort(rng.uniform(-1.5, 1.5, (rows, 1)) + rng.uniform(0, 0.45, (rows, size)))
+                 for rows, size in ((4, 7), (9, 2), (0, 4), (6, 3), (5, 5), (3, 4))]
+        # rows that stop in different blocks: at t = 40 the wide rows
+        # outrun the first ladder, while rows 1e-3 wide stop inside it
+        staggered = [np.sort(rng.uniform(-0.6, 0.6, (rows, 1)) + rng.uniform(0, span, (rows, size)))
+                     for rows, size, span in ((3, 6, 1e-3), (2, 3, 0.48), (4, 2, 1e-3),
+                                              (2, 5, 0.45))]
+        staggered.append(np.array([[-0.25, 0.0625, 0.1875]]))
+        for blocks in (mixed, staggered):
+            orders = []
+            counted = SmoothFunction(ladder_fn=lambda k, x: orders.append(k) or fn.ladder_fn(k, x))
+            got = _dd_series_rows(counted, blocks)
+            assert [len(g) for g in got] == [len(b) for b in blocks]
+            for block, values in zip(blocks, got):
+                for row, value in zip(block, values):
+                    assert value == _dd_series(fn, row)
+        if fname == "steep-t40":
+            assert len(orders) > 1
+
+    def test_series_memory_stays_near_its_ladder(self):
+        # every non-confluent multiset of 2..5 of 20 nodes on [-0.24, 0.24]:
+        # 53,029 rows; each block of terms may hold three arrays about the
+        # ladder's size beside the ladder, not one per running quantity
+        nodes = np.linspace(-0.24, 0.24, 20)
+        blocks = [nodes[[key for key in combinations_with_replacement(range(20), size)
+                         if key[0] != key[-1]]] for size in range(2, 6)]
+        rows = sum(len(b) for b in blocks)
+        assert rows == 53029
+        fn = gauss().derivative()
+        tracemalloc.start()
+        try:
+            _dd_series_rows(fn, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the ladder holds orders 0..top + SERIES_LADDER, and the widest rows have top = 4
+        assert peak <= 4.5 * rows * (4 + SERIES_LADDER + 1) * 8
 
     @pytest.mark.parametrize("fname", sorted(FUNCTIONS))
     @pytest.mark.parametrize("name", sorted(SPECTRA))

@@ -344,9 +344,10 @@ class TestExpand:
         assert report.scaled_remainders == tuple(abs(e - p) for e, p in zip(exact, partial))
 
     def test_contour_builds_one_contour_for_all_orders(self, spec4, herm4, mix, monkeypatch):
-        calls = _count_calls(monkeypatch, CircleContour, "nodes")
+        calls = _count_calls(monkeypatch, CircleContour, "real_integral")
         expand(spec4, 0.3 * herm4, mix, n_max=4, route="contour")
-        # one ellipse, whose running resolvent power gives orders 1..4
+        # one quadrature over one ellipse, whose running resolvent power
+        # gives orders 1..4
         assert len(calls) == 1
 
     def test_theorem_builds_one_table_for_all_orders(self, spec4, herm4, mix, monkeypatch):
