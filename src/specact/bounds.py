@@ -29,6 +29,7 @@ from .operator_model import (
     Spectrum,
     _cyclic_heat_traces,
     _mc_mean,
+    _require_finite_positive,
     _square_complex,
     _trace_of,
     heat_trace,
@@ -116,8 +117,7 @@ def holder_estimate_check(
     to ops[0]).  rhs = prod ||A_i|| tr e^{-(1-eps) t D^2} /
     ((n-k)! (pi^{-2} eps t)^{k/2}) with k = sum alpha_i.
     """
-    if not t > 0.0:
-        raise ValueError(f"heat time must be positive, got {t}")
+    _require_finite_positive("heat time", t)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if samples < 2:
@@ -169,8 +169,7 @@ def getzler_szenes_check(spec: Spectrum, v, t: float, eps: float) -> BoundReport
     tr e^{-(1-eps) t D^2}; deterministic, positive margin expected for
     Hermitian V.
     """
-    if not t > 0.0:
-        raise ValueError(f"heat time must be positive, got {t}")
+    _require_finite_positive("heat time", t)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     mat = require_hermitian(v, spec.dim)

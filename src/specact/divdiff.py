@@ -482,8 +482,10 @@ class MultisetDivDiff:
     def value(self, idx: Sequence[int]) -> float:
         if not len(idx):
             raise ValueError("need at least one index")
-        if not all(0 <= i < len(self.cluster_of) for i in idx):
-            raise ValueError(f"indices must lie in 0..{len(self.cluster_of) - 1}: {tuple(idx)}")
+        # a bool is an Integral but no index
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                   and 0 <= i < len(self.cluster_of) for i in idx):
+            raise ValueError(f"indices must be integers in 0..{len(self.cluster_of) - 1}: {idx}")
         values = self._level(len(idx))
         pos = 0
         for s, i in enumerate(idx, 1):

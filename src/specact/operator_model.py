@@ -24,7 +24,6 @@ the wrap-around slots).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from string import ascii_lowercase
@@ -104,6 +103,14 @@ class Spectrum:
         return np.diag(self.eigenvalues).astype(complex)
 
 
+def _require_finite_positive(name: str, value: float, power: int = 1) -> None:
+    """The one check on positive scalar inputs; an order-n fd stencil divides
+    by a power of its step, so it checks that power too."""
+    with np.errstate(over="ignore", under="ignore"):
+        if not (0.0 < value < math.inf and 0.0 < np.float64(value) ** power < math.inf):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 # max |A - A*| allowed, relative to max(1, max |A_ij|)
 _HERMITIAN_TOL = 1e-12
 
@@ -144,8 +151,7 @@ def eigen_decompose(h) -> tuple[Spectrum, np.ndarray]:
 
 def heat_trace(spec: Spectrum, t: float) -> float:
     """tr e^{-t D^2} = sum_i e^{-t lam_i^2}, t > 0."""
-    if not t > 0.0:
-        raise ValueError(f"heat time must be positive, got {t}")
+    _require_finite_positive("heat time", t)
     return float(np.sum(np.exp(-t * spec.squares)))
 
 
@@ -195,30 +201,25 @@ def _exp_divdiff(spec: Spectrum, t: float) -> MultisetDivDiff:
     return MultisetDivDiff(exp_decay(t), spec.squares)
 
 
-@functools.lru_cache(maxsize=64)
-def _contraction_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """einsum's greedy path for ``expr`` on operands of these shapes; the
-    search reads shapes only, so zero-stride stand-ins take the operands'
-    place and the cache holds paths, never values."""
-    stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return tuple(np.einsum_path(expr, *stand_ins, optimize="greedy")[0])
-
-
 def _cyclic_contract(mats: Sequence[np.ndarray], weight: np.ndarray) -> complex:
-    """sum over tuples of (M_0)_{i_0 i_1} ... (M_k)_{i_k i_0} W_{i_0...i_k}.
+    """sum over tuples of (M_0)_{i_0 i_1} ... (M_{k-1})_{i_{k-1} i_0} W_{i_0...i_{k-1}}.
 
-    One factor is a weighted trace with no contraction order to choose, so
-    it skips the path search; more factors reuse the path found for the
-    first contraction of their expression and shapes."""
+    A walk along the cycle from i_0: the first step multiplies W by M_0
+    and M_1 and sums i_1 out, each later step multiplies by the next
+    factor and sums its first index out, and the last closes the cycle
+    with M_{k-1}.  Each step is one plain einsum, so no contraction order
+    is searched and no array larger than N^(k-1) is made."""
     k = len(mats)
     if k + 1 > len(ascii_lowercase):
         raise ValueError("too many factors for the contraction")
-    letters = ascii_lowercase[:k]
-    subs = [letters[j] + letters[(j + 1) % k] for j in range(k)]
-    expr = ",".join(subs + [letters]) + "->"
-    operands = (*mats, weight)
-    path = _contraction_path(expr, tuple(np.shape(m) for m in operands)) if k > 1 else False
-    return complex(np.einsum(expr, *operands, optimize=path))
+    if k < 3:
+        return complex(np.einsum(("aa,a->", "ab,ba,ab->")[k - 1], *mats, weight))
+    rest = ascii_lowercase[3:k]
+    walk = np.einsum(f"abc{rest},ab,bc->ac{rest}", weight, mats[0], mats[1])
+    for m in mats[2:-1]:
+        rest = ascii_lowercase[3 : walk.ndim]
+        walk = np.einsum(f"abc{rest},bc->ac{rest}", walk, m)
+    return complex(np.einsum("ab,ba->", walk, mats[-1]))
 
 
 def bracket_dd(
@@ -234,8 +235,7 @@ def bracket_dd(
     (A_n)_{i_n i_0} E_t[lam_{i_0}^2,...,lam_{i_n}^2].  Degenerate squared
     eigenvalues are handled by the confluent table.
     """
-    if not t > 0.0:
-        raise ValueError(f"heat time must be positive, got {t}")
+    _require_finite_positive("heat time", t)
     mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
     if n < 0:
@@ -286,8 +286,7 @@ def bracket_mc(
     simplex samples and divides by n! (the uniform density).  Order 0 needs
     no integration and is returned exactly with zero stderr.
     """
-    if not t > 0.0:
-        raise ValueError(f"heat time must be positive, got {t}")
+    _require_finite_positive("heat time", t)
     mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
     if n == 0:
@@ -395,8 +394,7 @@ def duhamel_residual(spec: Spectrum, a, t: float, quad_points: int = 64) -> floa
     Gauss-Legendre quadrature mapped onto [0, 1].  Converges to zero as
     quad_points grows; the integrand is entire so convergence is fast.
     """
-    if not t > 0.0:
-        raise ValueError(f"heat time must be positive, got {t}")
+    _require_finite_positive("heat time", t)
     if quad_points < 1:
         raise ValueError(f"need at least one quadrature point, got {quad_points}")
     mat = require_hermitian(a, spec.dim)
@@ -446,23 +444,26 @@ def dirac_circle_spectrum(dim: int) -> Spectrum:
 def random_spectrum(dim: int, lam_max: float, rng: np.random.Generator) -> Spectrum:
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if not lam_max > 0.0:
-        raise ValueError(f"lam_max must be positive, got {lam_max}")
+    _require_finite_positive("lam_max", lam_max)
     return Spectrum.from_values(rng.uniform(-lam_max, lam_max, size=dim))
+
+
+def _rescaled(h: np.ndarray, norm: float | None, degenerate: str) -> np.ndarray:
+    """h rescaled to operator norm ``norm``, or h itself when norm is None."""
+    if norm is None:
+        return h
+    _require_finite_positive("norm target", norm)
+    current = operator_norm(h)
+    if current == 0.0:
+        raise ValueError(f"{degenerate}, cannot rescale")
+    return h * (norm / current)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, norm: float | None = None) -> np.ndarray:
     """Dense Hermitian matrix, optionally rescaled to a target operator norm."""
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = 0.5 * (x + x.conj().T)
-    if norm is not None:
-        if not norm > 0.0:
-            raise ValueError(f"norm target must be positive, got {norm}")
-        current = operator_norm(h)
-        if current == 0.0:
-            raise ValueError("degenerate random draw, cannot rescale")
-        h = h * (norm / current)
-    return h
+    return _rescaled(h, norm, "degenerate random draw")
 
 
 def band_hermitian(
@@ -477,14 +478,7 @@ def band_hermitian(
     h = random_hermitian(dim, rng)
     i, j = np.indices((dim, dim))
     h[np.abs(i - j) > bandwidth] = 0.0
-    if norm is not None:
-        if not norm > 0.0:
-            raise ValueError(f"norm target must be positive, got {norm}")
-        current = operator_norm(h)
-        if current == 0.0:
-            raise ValueError("band matrix vanished, cannot rescale")
-        h = h * (norm / current)
-    return h
+    return _rescaled(h, norm, "band matrix vanished")
 
 
 def one_form(spec: Spectrum, terms: Sequence[tuple]) -> np.ndarray:

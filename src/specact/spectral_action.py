@@ -45,6 +45,7 @@ from .operator_model import (
     _check_budget,
     _cyclic_contract,
     _exp_divdiff,
+    _require_finite_positive,
     _square_complex,
     _trace_of,
     anticommutator_with_d,
@@ -189,8 +190,7 @@ def _fd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: Smooth
     gives the same matrix, so sharing changes no value); phi(0) = tr f(D)
     is summed over the spectrum, which a solve of the diagonal D + 0 A
     returns unchanged."""
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    _require_finite_positive(f"fd step (and its power {orders[-1]})", h, orders[-1])
     d = np.diag(spec.eigenvalues)
     phi = {0.0: _unperturbed_trace(spec, f)}
 
@@ -329,6 +329,7 @@ def gateaux_fd_mixed(spec: Spectrum, a, b, f: SmoothFunction, h: float = 0.05) -
     quadratic form on pairs, e.g. its degeneracy along commutator
     directions [D, x] when the linear term vanishes.
     """
+    _require_finite_positive("fd step (and its power 2)", h, 2)
     mat_a = require_hermitian(a, spec.dim)
     mat_b = require_hermitian(b, spec.dim)
     d = np.diag(spec.eigenvalues)
@@ -421,6 +422,9 @@ def expand(
     # a str check first: membership in the dict hashes the key
     if not isinstance(route, str) or route not in ROUTES:
         raise ValueError(f"unknown route {route!r}, expected one of {tuple(ROUTES)}")
+    factors = tuple(float(e) for e in scaling_factors)
+    for eps in factors:
+        _require_finite_positive("scaling factor", eps)
     mat = require_hermitian(a, spec.dim)
     # the route runs its checks before any work, so it goes before S_0
     higher = ROUTES[route](range(1, n_max + 1), spec, mat, f, budget, fd_step) if n_max else []
@@ -429,7 +433,6 @@ def expand(
     # action_exact on the matrix validated above
     d = np.diag(spec.eigenvalues)
     exact = _trace_of(f, d + mat)
-    factors = tuple(float(e) for e in scaling_factors)
     scaled = []
     for eps in factors:
         partial = sum(c * eps**k for k, c in enumerate(contribs))

@@ -337,12 +337,15 @@ class TestMultisetDivDiff:
             table.value(())
 
     def test_value_rejects_indices_outside_the_nodes(self, mix):
-        # numpy would wrap -1 round to the last node and read f(2.0)
+        # numpy would wrap -1 round to the last node and read f(2.0);
+        # floats and bools are no indices, whatever numpy makes of them
         table = MultisetDivDiff(mix, np.array([0.0, 1.0, 2.0]))
-        for idx in ((-1,), (3,), (0, -1), (2, 0, 3)):
+        for idx in ((-1,), (3,), (0, -1), (2, 0, 3), (1.5,), (1.0,), (np.float64(1.0),),
+                    (True,), (0, False), (np.bool_(True),)):
             with pytest.raises(ValueError, match="indices"):
                 table.value(idx)
         assert table.value((2,)) == mix(2.0)
+        assert table.value((np.int64(2),)) == mix(2.0)
 
     def test_degenerate_values_confluent(self, mix):
         table = MultisetDivDiff(mix, np.array([0.5, 0.5]))

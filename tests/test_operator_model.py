@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,8 +105,10 @@ class TestHeat:
         assert np.allclose(np.diag(k), np.exp(-0.5 * spec4.squares))
 
     def test_heat_trace_rejects_nonpositive_t(self, spec4):
-        with pytest.raises(ValueError):
-            heat_trace(spec4, 0.0)
+        # an infinite time is no heat time either
+        for t in (0.0, math.inf):
+            with pytest.raises(ValueError):
+                heat_trace(spec4, t)
 
 
 class TestCommutators:
@@ -175,8 +179,9 @@ class TestBracketDD:
             bracket_dd([eye] * 6, spec, 1.0, budget=10_000_000)
 
     def test_rejects_nonpositive_t(self, spec4, herm4):
-        with pytest.raises(ValueError):
-            bracket_dd([herm4], spec4, -1.0)
+        for t in (-1.0, math.inf):
+            with pytest.raises(ValueError):
+                bracket_dd([herm4], spec4, t)
 
     def test_degenerate_squares(self, herm4):
         # +/- pairs square to the same value; confluent path must hold
@@ -188,22 +193,50 @@ class TestBracketDD:
         assert abs(est - exact) < 3.0 * max(err, 1e-15)
 
 
+def _brute_cycle(mats, weight):
+    """The cyclic sum tuple by tuple, and the sum of its terms' magnitudes."""
+    k, dim = len(mats), weight.shape[0]
+    total, size = 0.0j, 0.0
+    for idx in itertools.product(range(dim), repeat=k):
+        term = complex(weight[idx])
+        for j in range(k):
+            term *= mats[j][idx[j], idx[(j + 1) % k]]
+        total += term
+        size += abs(term)
+    return total, size
+
+
+def _drop_last_factor(mats, weight):
+    """A broken contraction: the last factor replaced by ones."""
+    return _cyclic_contract([*mats[:-1], np.ones_like(mats[-1])], weight)
+
+
 class TestCyclicContract:
     @pytest.mark.parametrize("dim", [1, 3, 7])
-    def test_cached_path_equals_optimized_einsum(self, dim):
-        # distinct complex factors and a real weight, each contraction run
-        # twice so the second reads the cached path; one factor is a plain
-        # weighted trace, with no path to search
+    def test_matches_tuple_by_tuple_sum(self, dim):
+        # distinct complex factors and a real weight; a contraction that
+        # drops a factor must fail the same comparison
         rng = make_rng(dim)
         for k in range(1, 6):
             mats = [random_hermitian(dim, rng) + rng.standard_normal((dim, dim))
                     for _ in range(k)]
             weight = rng.standard_normal((dim,) * k)
-            letters = "abcde"[:k]
-            expr = ",".join([letters[j] + letters[(j + 1) % k] for j in range(k)] + [letters])
-            ref = complex(np.einsum(expr + "->", *mats, weight, optimize=k > 1))
-            assert _cyclic_contract(mats, weight) == ref
-            assert _cyclic_contract(mats, weight) == ref
+            ref, size = _brute_cycle(mats, weight)
+            assert abs(_cyclic_contract(mats, weight) - ref) <= 1e-13 * size, k
+            assert abs(_drop_last_factor(mats, weight) - ref) > 1e-13 * size, k
+
+    def test_holds_less_than_the_weight(self):
+        # no step materialises an N^k complex array
+        rng = make_rng(12)
+        a = random_hermitian(12, rng)
+        weight = rng.standard_normal((12,) * 5)
+        tracemalloc.start()
+        try:
+            _cyclic_contract([a] * 5, weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < weight.nbytes
 
 
 class TestBracketIdentities:

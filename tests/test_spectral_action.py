@@ -416,6 +416,30 @@ class TestTadpole:
                 tadpole_check(spec4, bad, mix)
 
 
+class TestStepAndScaleChecks:
+    CALLS = {
+        "gateaux_fd": lambda spec, a, f, x: gateaux_fd(2, spec, a, f, h=x),
+        "gateaux_fd_mixed": lambda spec, a, f, x: gateaux_fd_mixed(spec, a, a, f, h=x),
+        "expand_fd_step": lambda spec, a, f, x: expand(spec, a, f, 2, route="fd", fd_step=x),
+        "expand_scaling": lambda spec, a, f, x: expand(spec, a, f, 2, scaling_factors=(1.0, x)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -0.05])
+    def test_rejected_before_any_eigen_solve(self, spec4, herm4, mix, monkeypatch, call, value):
+        solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        with pytest.raises(ValueError, match="finite and positive"):
+            self.CALLS[call](spec4, herm4, mix, value)
+        assert solves == []
+
+    @pytest.mark.parametrize("call", ["gateaux_fd", "gateaux_fd_mixed", "expand_fd_step"])
+    @pytest.mark.parametrize("step", [1e308, 1e-200])
+    def test_stencil_scale_must_be_representable(self, spec4, herm4, mix, call, step):
+        # an order-2 stencil divides by (h/2)^2, which overflows or underflows
+        with pytest.raises(ValueError, match="finite and positive"):
+            self.CALLS[call](spec4, herm4, mix, step)
+
+
 class TestMixedGateaux:
     def test_symmetry(self, spec4, mix, rng):
         a = random_hermitian(4, rng, norm=0.5)
