@@ -30,9 +30,10 @@ import time
 import numpy as np
 
 from .bounds import getzler_szenes_check, holder_estimate_check, simplex_bound_check
-from .divdiff import NodeList, dd_contour, dd_hermite_mc, dd_recursive, dd_derivative_sum
+from .divdiff import (NodeList, dd_chain_square, dd_contour, dd_derivative_sum, dd_hermite_mc,
+                      dd_recursive)
 from .errors import BudgetExceededError, ConfigError
-from .functions import DiscreteMeasure, make_gaussian_mixture
+from .functions import make_gaussian_mixture
 from .operator_model import (
     DEFAULT_TUPLE_BUDGET,
     Spectrum,
@@ -53,16 +54,13 @@ from .spectral_action import (
     epsilon_parent_move_count,
     expand,
     fd_noise_floor,
-    gateaux_fd,
     taylor_term,
-    taylor_term_bracket_form,
-    taylor_term_contour,
-    taylor_term_theorem_form,
 )
 
 __all__ = ["main"]
 
 SCHEMA_VERSION = 1
+FD_STEP = 0.05  # the fd route's step, unless run.fd_step sets another
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +270,19 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
         raise ConfigError(f"run.route: unknown route '{route}'")
     budget = _number(run, "budget", "run", int, default=DEFAULT_TUPLE_BUDGET, positive=True)
     scaling = _numbers(run, "scaling_factors", "run", default=(1.0, 0.5, 0.25), positive=True)
-    fd_step = _number(run, "fd_step", "run", default=0.05, positive=True)
+    fd_step = _number(run, "fd_step", "run", default=FD_STEP, positive=True)
     tol = _number(run, "remainder_tol", "run", positive=True) if "remainder_tol" in run else None
 
-    report = expand(spec, a, f, n_max, route=route, budget=budget,
-                    scaling_factors=scaling, fd_step=fd_step)
+    try:
+        report = expand(spec, a, f, n_max, route=route, budget=budget,
+                        scaling_factors=scaling, fd_step=fd_step)
+    except ValueError as exc:
+        # expand refuses, before any work, an fd step or a scaling factor
+        # whose power leaves the float range
+        if not str(exc).startswith(("fd step", "scaling factor")):
+            raise
+        key = "fd_step" if str(exc).startswith("fd step") else "scaling_factors"
+        raise ConfigError(f"run.{key}: {exc}") from exc
 
     write_csv(os.path.join(out_dir, "expand.csv"),
               ["order", "contribution", "partial_sum", "remainder"],
@@ -297,14 +303,25 @@ def cmd_expand(cfg: dict, out_dir: str, override: int | None, route_flag: str | 
 DEFAULT_CHECKS = ("divdiff-triangle", "chain-square", "derivative-sum",
                   "bracket-identities", "route-agreement", "epsilon-combinatorics")
 
+# the pinned tolerances of the verify checks, those of the acceptance suite
+IDENTITY_TOL = 1e-9      # chain rule, derivative sum, bracket identities
+CONTOUR_RULE_TOL = 1e-8  # recursive divided difference against the contour rule
+ROUTE_TOL = 1e-8         # each analytic route against dd
+FD_TOL = 1e-4            # the finite-difference route against dd
+EPSILON_ORDERS = 10      # orders 1..EPSILON_ORDERS of the parent-move count
+
 
 def _random_nodes(rng: np.random.Generator, max_size: int) -> np.ndarray:
     # rejection keeps the min gap away from the merge threshold
     while True:
-        size = int(rng.integers(2, max_size + 1))
-        nodes = rng.uniform(-2.0, 2.0, size=size)
-        if size == 1 or np.min(np.diff(np.sort(nodes))) >= 1e-3:
+        nodes = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, max_size + 1)))
+        if np.min(np.diff(np.sort(nodes))) >= 1e-3:
             return nodes
+
+
+def _rel_err(value: float, ref: float, floor: float = 0.0) -> float:
+    """|value - ref| relative to |ref|, and to no less than 1e-12 or ``floor``."""
+    return abs(value - ref) / max(abs(ref), 1e-12, floor)
 
 
 def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
@@ -319,11 +336,6 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
     dim_max = _number(section, "dim_max", "verify", int, default=4, least=2)
     n_max = _number(section, "n_max", "verify", int, default=3, positive=True)
     mc_samples = _number(section, "mc_samples", "verify", int, default=100_000, positive=True)
-    tol = _number(section, "tol", "verify", default=1e-9, positive=True)
-    contour_tol = _number(section, "contour_tol", "verify", default=1e-8, positive=True)
-    route_tol = _number(section, "route_tol", "verify", default=1e-8, positive=True)
-    fd_tol = _number(section, "fd_tol", "verify", default=1e-4, positive=True)
-    epsilon_n_max = _number(section, "epsilon_n_max", "verify", int, default=10)
     seed = _seed_of(section, "verify", override) if checks else 0
     # the largest tuple sums the checks can draw (the unit insertion adds
     # one operator to a bracket of n_max + 1)
@@ -332,105 +344,70 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
     if "bracket-identities" in checks:
         _check_budget(dim_max, n_max + 2, DEFAULT_TUPLE_BUDGET)
 
+    f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
     rows: list[list] = []
 
-    def emit(check: str, detail: str, count: int, error: float, bound: float):
-        rows.append([check, detail, count, error, bound, bool(error <= bound)])
+    def emit(check: str, detail: str, errors: list, bound: float):
+        # np.max, unlike max, lets a nan error through to fail the row
+        error = float(np.max(errors))
+        rows.append([check, detail, len(errors), error, bound, error <= bound])
 
     for name in checks:
         rng = make_rng(seed, stream=3 + DEFAULT_CHECKS.index(name))
         if name == "divdiff-triangle":
-            f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
-            worst_contour = 0.0
-            worst_z = 0.0
+            contour, mc = [], []
             for k in range(instances):
                 nodes = _random_nodes(rng, 7)
                 ref = dd_recursive(f, nodes)
                 center = 0.5 * (nodes.min() + nodes.max())
                 radius = 0.5 * (nodes.max() - nodes.min()) + 1.0
-                cval = dd_contour(f, nodes, center, radius, points=256)
-                worst_contour = max(worst_contour,
-                                    abs(cval - ref) / max(abs(ref), 1e-12))
-                est, err = dd_hermite_mc(f, nodes, mc_samples,
-                                         seed=seed + 1000 + k)
-                worst_z = max(worst_z, abs(est - ref) / max(err, 1e-300))
-            emit(name, "recursive-vs-contour", instances, worst_contour, contour_tol)
-            emit(name, "recursive-vs-mc-stderr-units", instances, worst_z, 3.0)
+                contour.append(_rel_err(dd_contour(f, nodes, center, radius, points=256), ref))
+                est, err = dd_hermite_mc(f, nodes, mc_samples, seed=seed + 1000 + k)
+                mc.append(abs(est - ref) / max(err, 1e-300))
+            emit(name, "recursive-vs-contour", contour, CONTOUR_RULE_TOL)
+            emit(name, "recursive-vs-mc-stderr-units", mc, 3.0)
         elif name == "chain-square":
-            from .divdiff import dd_chain_square
-            g = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)]).square_companion
-            f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
-            worst = 0.0
-            for _ in range(instances):
-                nodes = _random_nodes(rng, 6)
-                ref = dd_recursive(f, nodes)
-                val = dd_chain_square(g, nodes)
-                worst = max(worst, abs(val - ref) / max(abs(ref), 1e-12))
-            emit(name, "vs-recursive", instances, worst, tol)
+            draws = [_random_nodes(rng, 6) for _ in range(instances)]
+            errors = [_rel_err(dd_chain_square(f.square_companion, x), dd_recursive(f, x))
+                      for x in draws]
+            emit(name, "vs-recursive", errors, IDENTITY_TOL)
         elif name == "derivative-sum":
-            f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
+            draws = [_random_nodes(rng, 6) for _ in range(instances)]
             fp = f.derivative()
-            worst = 0.0
-            for _ in range(instances):
-                nodes = _random_nodes(rng, 6)
-                ref = dd_recursive(fp, nodes)
-                val = dd_derivative_sum(f, nodes)
-                worst = max(worst, abs(val - ref) / max(abs(ref), 1e-12))
-            emit(name, "vs-derivative-dd", instances, worst, tol)
+            errors = [_rel_err(dd_derivative_sum(f, x), dd_recursive(fp, x)) for x in draws]
+            emit(name, "vs-derivative-dd", errors, IDENTITY_TOL)
         elif name == "bracket-identities":
-            worst = dict.fromkeys(
-                ("cyclic", "unit-insertion", "d-commutator-sum", "d2-reduction"), 0.0)
+            reports = []
             for _ in range(instances):
                 dim = int(rng.integers(2, dim_max + 1))
                 order = int(rng.integers(1, n_max + 1))
                 spec = random_spectrum(dim, 2.0, rng)
                 ops = [random_hermitian(dim, rng) for _ in range(order + 1)]
-                t = float(rng.uniform(0.2, 1.5))
-                rep = bracket_identity_check(ops, spec, t, tol=tol)
-                worst["cyclic"] = max(worst["cyclic"], rep.cyclic)
-                worst["unit-insertion"] = max(worst["unit-insertion"], rep.unit_insertion)
-                worst["d-commutator-sum"] = max(worst["d-commutator-sum"],
-                                                rep.d_commutator_sum)
-                worst["d2-reduction"] = max(worst["d2-reduction"], rep.d2_reduction)
-            for detail, err in worst.items():
-                emit(name, detail, instances, err, tol)
+                reports.append(bracket_identity_check(ops, spec, float(rng.uniform(0.2, 1.5))))
+            for field in ("cyclic", "unit_insertion", "d_commutator_sum", "d2_reduction"):
+                emit(name, field.replace("_", "-"), [getattr(r, field) for r in reports],
+                     IDENTITY_TOL)
         elif name == "route-agreement":
-            f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
-            worst = dict.fromkeys(
-                ("theorem-over-n", "bracket", "contour", "finite-difference"), 0.0)
-            fd_step = 0.05
+            errors = {route: [] for route in ROUTES if route != "dd"}
             for _ in range(instances):
                 dim = int(rng.integers(2, dim_max + 1))
                 order = int(rng.integers(1, n_max + 1))
                 spec = random_spectrum(dim, 2.0, rng)
-                a = random_hermitian(dim, rng, norm=0.5)
-                ref = taylor_term(order, spec, a, f)
-                scale = max(abs(ref), 1e-12)
-                th = taylor_term_theorem_form(order, spec, a, f) / order
-                br = taylor_term_bracket_form(order, spec, a, f.measure)
-                co = taylor_term_contour(order, spec, a, f)
-                fd = gateaux_fd(order, spec, a, f, h=fd_step)
-                worst["theorem-over-n"] = max(worst["theorem-over-n"],
-                                              abs(th - ref) / scale)
-                worst["bracket"] = max(worst["bracket"], abs(br - ref) / scale)
-                worst["contour"] = max(worst["contour"], abs(co - ref) / scale)
-                # terms below what the fd oracle can resolve (over fd_tol)
+                mat = require_hermitian(random_hermitian(dim, rng, norm=0.5), dim)
+                ref = ROUTES["dd"]((order,), spec, mat, f, DEFAULT_TUPLE_BUDGET, FD_STEP)[0]
+                # terms below what the fd oracle can resolve (over FD_TOL)
                 # are compared in absolute terms
-                fd_floor = fd_noise_floor(order, fd_step, dim)
-                worst["finite-difference"] = max(
-                    worst["finite-difference"],
-                    abs(fd - ref) / max(scale, fd_floor / fd_tol))
-            for detail in ("theorem-over-n", "bracket", "contour"):
-                emit(name, f"dd-vs-{detail}", instances, worst[detail], route_tol)
-            emit(name, "dd-vs-finite-difference", instances,
-                 worst["finite-difference"], fd_tol)
+                fd_floor = fd_noise_floor(order, FD_STEP, dim) / FD_TOL
+                for route, errs in errors.items():
+                    value = ROUTES[route]((order,), spec, mat, f, DEFAULT_TUPLE_BUDGET, FD_STEP)[0]
+                    errs.append(_rel_err(value, ref, fd_floor if route == "fd" else 0.0))
+            for route, errs in errors.items():
+                detail = {"theorem": "theorem-over-n", "fd": "finite-difference"}.get(route, route)
+                emit(name, f"dd-vs-{detail}", errs, FD_TOL if route == "fd" else ROUTE_TOL)
         elif name == "epsilon-combinatorics":
-            worst = 0
-            for order in range(epsilon_n_max):
-                for child in epsilon_enumerate(order + 1):
-                    count = epsilon_parent_move_count(child)
-                    worst = max(worst, abs(count - (order + 1)))
-            emit(name, "parent-move-count", epsilon_n_max, float(worst), 0.0)
+            emit(name, "parent-move-count",
+                 [max(abs(epsilon_parent_move_count(child) - n) for child in epsilon_enumerate(n))
+                  for n in range(1, EPSILON_ORDERS + 1)], 0.0)
 
     write_csv(os.path.join(out_dir, "verify.csv"),
               ["check", "detail", "instances", "error", "tol", "passed"], rows)

@@ -246,22 +246,23 @@ def bracket_dd(
     return ((-1.0) ** n) * _cyclic_contract(mats, weight)
 
 
+# sample rows per batched matrix product in _cyclic_heat_traces
+_HEAT_TRACE_CHUNK = 65536
+
+
 def _cyclic_heat_traces(
-    gs: Sequence[np.ndarray],
-    ws: Sequence[np.ndarray],
-    s_batch: np.ndarray,
-    chunk: int = 65536,
+    gs: Sequence[np.ndarray], ws: Sequence[np.ndarray], s_batch: np.ndarray
 ) -> np.ndarray:
     """tr( G_0 diag(e^{-s_0 w_0}) G_1 diag(e^{-s_1 w_1}) ... ) per sample row."""
     k = len(gs)
     out = np.empty(s_batch.shape[0], dtype=complex)
-    for lo in range(0, s_batch.shape[0], chunk):
-        s = s_batch[lo : lo + chunk]
+    for lo in range(0, s_batch.shape[0], _HEAT_TRACE_CHUNK):
+        s = s_batch[lo : lo + _HEAT_TRACE_CHUNK]
         prod = gs[0][None, :, :] * np.exp(-np.outer(s[:, 0], ws[0]))[:, None, :]
         for j in range(1, k):
             factor = gs[j][None, :, :] * np.exp(-np.outer(s[:, j], ws[j]))[:, None, :]
             prod = prod @ factor
-        out[lo : lo + chunk] = np.einsum("pii->p", prod)
+        out[lo : lo + len(s)] = np.einsum("pii->p", prod)
     return out
 
 
@@ -326,36 +327,36 @@ def bracket_identity_check(
     spec: Spectrum,
     t: float,
     tol: float = 1e-9,
-    budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> BracketIdentityReport:
     """Verify the four bracket identities on the given operator list.
 
     Residuals are relative to the magnitude of the quantities involved.
     The [D^2, .] reduction needs order >= 1; for a single operator that
-    residual is reported as 0.
+    residual is reported as 0.  Every bracket is held to the default
+    tuple budget, DEFAULT_TUPLE_BUDGET.
     """
     mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
-    base = bracket_dd(mats, spec, t, budget=budget)
+    base = bracket_dd(mats, spec, t)
     scale = max(abs(base), 1e-15)
 
     cyc = 0.0
     for r in range(1, n + 1):
         rotated = mats[r:] + mats[:r]
-        cyc = max(cyc, _rel(abs(bracket_dd(rotated, spec, t, budget=budget) - base), scale))
+        cyc = max(cyc, _rel(abs(bracket_dd(rotated, spec, t) - base), scale))
 
     eye = np.eye(spec.dim, dtype=complex)
     inserted = 0.0j
     for r in range(n + 1):
         rotated = [eye] + mats[r:] + mats[:r]
-        inserted += bracket_dd(rotated, spec, t, budget=budget)
+        inserted += bracket_dd(rotated, spec, t)
     ins = _rel(abs(t * base - inserted), max(abs(t * base), abs(inserted), 1e-15))
 
     terms = []
     for i in range(n + 1):
         bumped = list(mats)
         bumped[i] = commutator_with_d(spec, mats[i])
-        terms.append(bracket_dd(bumped, spec, t, budget=budget))
+        terms.append(bracket_dd(bumped, spec, t))
     comm_scale = max(max((abs(v) for v in terms), default=0.0), scale)
     comm = _rel(abs(sum(terms)), comm_scale)
 
@@ -364,7 +365,7 @@ def bracket_identity_check(
         for i in range(n + 1):
             bumped = list(mats)
             bumped[i] = commutator_with_d2(spec, mats[i])
-            lhs = bracket_dd(bumped, spec, t, budget=budget)
+            lhs = bracket_dd(bumped, spec, t)
             if i >= 1:
                 left = mats[: i - 1] + [mats[i - 1] @ mats[i]] + mats[i + 1 :]
             else:
@@ -373,10 +374,7 @@ def bracket_identity_check(
                 right = mats[:i] + [mats[i] @ mats[i + 1]] + mats[i + 2 :]
             else:
                 right = [mats[n] @ mats[0]] + mats[1:n]
-            rhs = (
-                bracket_dd(left, spec, t, budget=budget)
-                - bracket_dd(right, spec, t, budget=budget)
-            )
+            rhs = bracket_dd(left, spec, t) - bracket_dd(right, spec, t)
             red = max(red, _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs), scale)))
 
     return BracketIdentityReport(

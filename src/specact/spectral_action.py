@@ -425,6 +425,9 @@ def expand(
     factors = tuple(float(e) for e in scaling_factors)
     for eps in factors:
         _require_finite_positive("scaling factor", eps)
+        with np.errstate(over="ignore"):  # a tiny factor's powers only underflow to 0
+            if np.float64(eps) ** n_max == math.inf:
+                raise ValueError(f"scaling factor {eps!r} overflows at power {n_max}")
     mat = require_hermitian(a, spec.dim)
     # the route runs its checks before any work, so it goes before S_0
     higher = ROUTES[route](range(1, n_max + 1), spec, mat, f, budget, fd_step) if n_max else []

@@ -11,6 +11,7 @@ import pytest
 import specact
 from specact import Spectrum, dd_recursive, make_gaussian_mixture, taylor_term
 from specact.cli import main
+from specact.spectral_action import ROUTES
 
 
 def write_cfg(path, cfg):
@@ -92,7 +93,7 @@ class TestConfigErrors:
         ("expand", "spectrum", 5, "spectrum"),
         ("verify", "verify", {"instances": "many", "seed": 1}, "verify.instances"),
         ("verify", "verify", {"instances": -3, "seed": 1}, "verify.instances"),
-        ("verify", "verify", {"tol": "tight", "seed": 1}, "verify.tol"),
+        ("verify", "verify", {"mc_samples": "lots", "seed": 1}, "verify.mc_samples"),
         ("verify", "verify", {"dim_max": 1, "seed": 1}, "verify.dim_max"),
         ("verify", "verify", {"seed": True}, "verify.seed"),
         ("bounds", "bounds", {"simplex": {"samples": "lots", "seed": 1}}, "bounds.simplex.samples"),
@@ -114,12 +115,16 @@ class TestConfigErrors:
         ("expand", "function", {"atoms": []}, "function.atoms"),
         ("expand", "run", {"route": 5}, "run.route"),
         ("expand", "run", {"route": "nonsense"}, "run.route"),
+        # positive, but a power the expansion takes leaves the float range
+        ("expand", "run", {"n_max": 2, "route": "fd", "fd_step": 1e200}, "run.fd_step"),
+        ("expand", "run", {"n_max": 2, "scaling_factors": [1.0, 1e300]}, "run.scaling_factors"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, command, section, value, where):
         path = write_cfg(tmp_path / "c.json", dict(BASE_CFG, **{section: value}))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and where in err
+        assert not (tmp_path / f"{command}.csv").exists()
 
     def test_unknown_check_name(self, tmp_path):
         cfg = dict(BASE_CFG, verify={"checks": ["nonsense"], "seed": 1})
@@ -292,7 +297,8 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("an instance was computed")
 
-        monkeypatch.setattr("specact.cli.taylor_term", refuse)
+        for route in ROUTES:
+            monkeypatch.setitem(ROUTES, route, refuse)
         monkeypatch.setattr("specact.operator_model.bracket_dd", refuse)
         cfg = dict(BASE_CFG, verify={"seed": 7, "checks": [check],
                                      "dim_max": dim_max, "n_max": n_max})
@@ -300,6 +306,35 @@ class TestVerify:
         assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 4
         assert "budget exceeded" in capsys.readouterr().err
         assert not (tmp_path / "verify.csv").exists()
+
+    def test_route_agreement_covers_every_registered_route(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(ROUTES, "dd2", ROUTES["dd"])
+        cfg = dict(BASE_CFG, verify={"seed": 7, "instances": 3,
+                                     "checks": ["route-agreement"]})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = {row[1]: row for row in read_csv(tmp_path / "verify.csv")[1:]}
+        assert list(rows) == ["dd-vs-theorem-over-n", "dd-vs-bracket", "dd-vs-contour",
+                              "dd-vs-finite-difference", "dd-vs-dd2"]
+        assert rows["dd-vs-dd2"][2:] == ["3", "0", "1e-08", "true"]
+
+    def test_nan_route_error_fails_its_row(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(ROUTES, "broken", lambda *args: [math.nan])
+        cfg = dict(BASE_CFG, verify={"seed": 7, "instances": 3,
+                                     "checks": ["route-agreement"]})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 3
+        rows = {row[1]: row for row in read_csv(tmp_path / "verify.csv")[1:]}
+        assert rows["dd-vs-broken"][3:] == ["nan", "1e-08", "false"]
+
+    def test_tolerances_are_pinned(self, tmp_path):
+        # the removed tolerance keys are not read: the fd row keeps its tol
+        cfg = dict(BASE_CFG, verify={"seed": 7, "instances": 3, "fd_tol": 1.0,
+                                     "checks": ["route-agreement"]})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = {row[1]: row for row in read_csv(tmp_path / "verify.csv")[1:]}
+        assert rows["dd-vs-finite-difference"][4] == "0.0001"
 
     def test_seed_override_changes_instances(self, tmp_path):
         cfg = dict(BASE_CFG, verify={

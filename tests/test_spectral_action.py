@@ -439,6 +439,19 @@ class TestStepAndScaleChecks:
         with pytest.raises(ValueError, match="finite and positive"):
             self.CALLS[call](spec4, herm4, mix, step)
 
+    def test_scaling_factor_power_must_not_overflow(self, spec4, herm4, mix, monkeypatch):
+        # the order-2 partial sum takes 1e300^2
+        solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        with pytest.raises(ValueError, match="overflows at power 2"):
+            self.CALLS["expand_scaling"](spec4, herm4, mix, 1e300)
+        assert solves == []
+
+    def test_tiny_scaling_factor_accepted(self, spec4, herm4, mix):
+        # its powers underflow to 0, which the partial sums can take
+        report = self.CALLS["expand_scaling"](spec4, herm4, mix, 1e-300)
+        assert report.scaling_factors == (1.0, 1e-300)
+        assert all(math.isfinite(r) for r in report.scaled_remainders)
+
 
 class TestMixedGateaux:
     def test_symmetry(self, spec4, mix, rng):
