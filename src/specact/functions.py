@@ -133,9 +133,10 @@ def _gaussian_ladder(atoms, k_max: int, x) -> list:
     H_{k+1}(u) = 2u H_k(u) - 2k H_{k-1}(u) per atom, at u = sqrt(t_j) x."""
     x = _argument(x)
     out = [0.0] * (k_max + 1)
-    for t, w in atoms:
+    with np.errstate(over="ignore"):  # an overflowing square: the core's float value is 0.0
+        cores = [np.exp(-t * x * x) for t, _ in atoms]
+    for (t, w), core in zip(atoms, cores):
         rt = math.sqrt(t)
-        core = np.exp(-t * x * x)
         if isinstance(x, float):
             core = float(core)
         two_u = 2.0 * (rt * x)

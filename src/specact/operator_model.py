@@ -191,16 +191,6 @@ def commutator_with_d2(spec: Spectrum, a) -> np.ndarray:
     return (sq[:, None] - sq[None, :]) * m
 
 
-def _exp_divdiff(spec: Spectrum, t: float) -> MultisetDivDiff:
-    """Divided differences of u -> e^{-t u} over the squared eigenvalues.
-
-    The (-t)^n from differentiating e^{-t u} n times cancels the t^n of
-    the inflated simplex, which is where the (-1)^n of the closed bracket
-    form comes from; +/- eigenvalue pairs share confluent cache entries.
-    """
-    return MultisetDivDiff(exp_decay(t), spec.squares)
-
-
 def _cyclic_contract(mats: Sequence[np.ndarray], weight: np.ndarray) -> complex:
     """sum over tuples of (M_0)_{i_0 i_1} ... (M_{k-1})_{i_{k-1} i_0} W_{i_0...i_{k-1}}.
 
@@ -241,8 +231,9 @@ def bracket_dd(
     if n < 0:
         raise ValueError("need at least one operator")
     _check_budget(spec.dim, n + 1, budget)
-    table = _exp_divdiff(spec, t)
-    weight = table.tensor(n + 1)
+    # the (-t)^n of n derivatives of e^{-t u} cancels the t^n of the inflated
+    # simplex, leaving the (-1)^n; +/- eigenvalue pairs share confluent entries
+    weight = MultisetDivDiff(exp_decay(t), spec.squares).tensor(n + 1)
     return ((-1.0) ** n) * _cyclic_contract(mats, weight)
 
 
@@ -302,6 +293,10 @@ def bracket_mc(
     return _mc_mean(traces, (t**n) / math.factorial(n))
 
 
+# largest relative residual bracket_identity_check passes
+BRACKET_IDENTITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class BracketIdentityReport:
     """Largest relative residuals of the four bracket identities."""
@@ -310,7 +305,7 @@ class BracketIdentityReport:
     unit_insertion: float
     d_commutator_sum: float
     d2_reduction: float
-    tol: float
+    tol: float = BRACKET_IDENTITY_TOL
 
     @property
     def passed(self) -> bool:
@@ -322,21 +317,18 @@ def _rel(delta: float, scale: float) -> float:
     return delta / max(scale, 1e-300)
 
 
-def bracket_identity_check(
-    ops: Sequence,
-    spec: Spectrum,
-    t: float,
-    tol: float = 1e-9,
-) -> BracketIdentityReport:
+def bracket_identity_check(ops: Sequence, spec: Spectrum, t: float) -> BracketIdentityReport:
     """Verify the four bracket identities on the given operator list.
 
-    Residuals are relative to the magnitude of the quantities involved.
-    The [D^2, .] reduction needs order >= 1; for a single operator that
-    residual is reported as 0.  Every bracket is held to the default
-    tuple budget, DEFAULT_TUPLE_BUDGET.
+    Residuals are relative to the magnitude of the quantities involved
+    and pass at BRACKET_IDENTITY_TOL.  The [D^2, .] reduction needs order
+    >= 1; for a single operator that residual is reported as 0.  The
+    largest bracket (the unit insertion's n + 2 operators) is held to
+    DEFAULT_TUPLE_BUDGET before any is computed.
     """
     mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
+    _check_budget(spec.dim, n + 2, DEFAULT_TUPLE_BUDGET)
     base = bracket_dd(mats, spec, t)
     scale = max(abs(base), 1e-15)
 
@@ -378,7 +370,7 @@ def bracket_identity_check(
             red = max(red, _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs), scale)))
 
     return BracketIdentityReport(
-        cyclic=cyc, unit_insertion=ins, d_commutator_sum=comm, d2_reduction=red, tol=tol
+        cyclic=cyc, unit_insertion=ins, d_commutator_sum=comm, d2_reduction=red
     )
 
 

@@ -38,13 +38,12 @@ import numpy as np
 
 from .divdiff import CONTOUR_BLOCK, CircleContour, MultisetDivDiff, step_bitstrings
 from .errors import BudgetExceededError
-from .functions import DiscreteMeasure, SmoothFunction
+from .functions import DiscreteMeasure, SmoothFunction, make_gaussian_mixture
 from .operator_model import (
     DEFAULT_TUPLE_BUDGET,
     Spectrum,
     _check_budget,
     _cyclic_contract,
-    _exp_divdiff,
     _require_finite_positive,
     _square_complex,
     _trace_of,
@@ -114,29 +113,29 @@ def _theorem_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
 
 
 def _bracket_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
-                    mu: DiscreteMeasure | None, budget: int) -> list[float]:
-    """The bracket sum at each order, over one e^{-tu} table per atom of
-    mu.  The unit in <1, B_1, ..., B_k> forces i_0 = i_1: the doubled
-    tensor's last slot, so B_1 goes last."""
-    if mu is None:
-        raise ValueError("bracket route needs a function carrying its measure")
+                    g: SmoothFunction | None, budget: int) -> list[float]:
+    """The bracket sum at each order, over one table of g on the squared
+    spectrum, where f(x) = g(x^2): divided differences are linear, so the
+    mu-integral of the e^{-tu} brackets is g's bracket.  The unit in
+    <1, B_1, ..., B_k> forces i_0 = i_1: the doubled tensor's last slot,
+    so B_1 goes last."""
+    if g is None:
+        raise ValueError("bracket route needs f = g(x^2): a measure or a square companion")
     _check_budget(spec.dim, orders[-1], budget)
-    tables = [_exp_divdiff(spec, t) for t, _ in mu]
-    for table in tables:
-        table._level(orders[-1] + 1)
+    table = MultisetDivDiff(g, spec.squares)
+    table._level(orders[-1] + 1)
     anti = anticommutator_with_d(spec, mat)
     sq = mat @ mat
     out = []
     for n in orders:
         total = 0.0j
-        # one tensor per atom for each bracket length k; the (-1)^k of the
-        # sum cancels the (-1)^k of the closed bracket form
+        # one tensor for each bracket length k; the (-1)^k of the sum
+        # cancels the (-1)^k of the closed bracket form
         for k, group in groupby(step_bitstrings(n), key=len):
-            weights = [table.doubled_tensor(k) for table in tables]
+            weight = table.doubled_tensor(k)
             for bits in group:
                 ops = [sq if b else anti for b in bits[1:] + bits[:1]]
-                for (_, w), weight in zip(mu, weights):
-                    total += w * _cyclic_contract(ops, weight)
+                total += _cyclic_contract(ops, weight)
         out.append(float(total.real))
     return out
 
@@ -259,11 +258,13 @@ def taylor_term_bracket_form(
 
     sum_k (-1)^k sum over bitstrings eps in {0,1}^k with
     sum_i (1 + eps_i) = n of the mu-integral of <1, B_1, ..., B_k>_k,
-    where B_i = {D, A} when eps_i = 0 and A^2 when eps_i = 1.
+    where B_i = {D, A} when eps_i = 0 and A^2 when eps_i = 1, read from
+    one table of g(u) = sum_j w_j e^{-t_j u}, the companion of f = g(x^2).
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return _bracket_orders((n,), spec, require_hermitian(a, spec.dim), mu, budget)[0]
+    g = None if mu is None else make_gaussian_mixture(mu).square_companion
+    return _bracket_orders((n,), spec, require_hermitian(a, spec.dim), g, budget)[0]
 
 
 def taylor_term_contour(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
@@ -303,7 +304,7 @@ ROUTES = {
         v / n for n, v in zip(orders, _theorem_orders(orders, spec, mat, f, budget))
     ],
     "bracket": lambda orders, spec, mat, f, budget, h: _bracket_orders(
-        orders, spec, mat, f.measure, budget
+        orders, spec, mat, f.square_companion, budget
     ),
     "contour": lambda orders, spec, mat, f, budget, h: _contour_orders(orders, spec, mat, f),
     "fd": lambda orders, spec, mat, f, budget, h: _fd_orders(orders, spec, mat, f, h),

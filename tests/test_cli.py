@@ -161,6 +161,15 @@ class TestExpand:
             got = float(rows[1 + n][1])
             assert got == pytest.approx(taylor_term(n, spec, a, mix), rel=1e-15)
 
+    def test_overflowing_square_prints_nothing(self, tmp_path, capsys):
+        # at scale 1e308 the exact action squares eigenvalues past the float
+        # range; the Gaussian is exactly 0.0 there, with no warning
+        cfg = dict(BASE_CFG, run={"n_max": 1, "scaling_factors": [1.0, 1e308]})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["expand", "--config", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "expand.csv").exists()
+
     def test_remainder_tolerance_failure_exits_3(self, tmp_path, capsys):
         cfg = dict(BASE_CFG, run={"n_max": 1, "remainder_tol": 1e-30})
         path = write_cfg(tmp_path / "c.json", cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specact import (
+    MultisetDivDiff,
     Spectrum,
     anticommutator_with_d,
     band_hermitian,
@@ -267,6 +268,17 @@ class TestBracketIdentities:
         report = bracket_identity_check(ops, spec, t=0.897)
         assert report.passed
         assert report.unit_insertion <= 1e-9
+
+    def test_budget_checked_before_any_bracket(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a divided-difference table was built")
+
+        monkeypatch.setattr(MultisetDivDiff, "__init__", refuse)
+        # seven operators at N = 10: each bracket of 7 is within the 10^7
+        # budget, but the unit insertion's 8 operators need 10^8 tuples
+        spec = linear_spectrum(10)
+        with pytest.raises(BudgetExceededError):
+            bracket_identity_check([np.eye(10)] * 7, spec, t=0.5)
 
 
 class TestDuhamel:

@@ -350,12 +350,35 @@ class TestExpand:
         # gives orders 1..4
         assert len(calls) == 1
 
-    def test_theorem_builds_one_table_for_all_orders(self, spec4, herm4, mix, monkeypatch):
+    @pytest.mark.parametrize("route, atoms", [
+        ("theorem", [(1.0, 1.0), (0.5, 0.6)]),
+        ("bracket", [(1.0, 1.0), (0.5, 0.6), (2.0, -0.3)]),
+    ], ids=["theorem", "bracket"])
+    def test_theorem_builds_one_table_for_all_orders(self, spec4, herm4, route, atoms,
+                                                     monkeypatch):
+        mix = make_gaussian_mixture(atoms)
         calls = _count_calls(monkeypatch, MultisetDivDiff, "__init__")
-        expand(spec4, 0.3 * herm4, mix, n_max=3, route="theorem")
-        # S_0 needs no table; one table of f serves the doubled tensors of
-        # orders 1, 2 and 3
+        expand(spec4, 0.3 * herm4, mix, n_max=3, route=route)
+        # S_0 needs no table; one table (of f, or of g with f(x) = g(x^2)
+        # whatever the atom count) serves the doubled tensors of orders
+        # 1, 2 and 3
         assert len(calls) == 1
+
+    def test_bracket_route_reads_the_square_companion(self, spec4, herm4, mix, monkeypatch):
+        from specact.functions import SmoothFunction
+        # f = g(x^2) without its measure: the bracket route needs only g
+        bare = SmoothFunction(ladder_fn=mix.ladder_fn, square_companion=mix.square_companion)
+        bracket = expand(spec4, 0.3 * herm4, bare, n_max=4, route="bracket")
+        dd = expand(spec4, 0.3 * herm4, mix, n_max=4, route="dd")
+        for n in range(1, 5):
+            ref = dd.contributions[n]
+            assert abs(bracket.contributions[n] - ref) <= 1e-10 * max(1.0, abs(ref)), n
+        # a function with no g is refused before any table is built
+        calls = _count_calls(monkeypatch, MultisetDivDiff, "__init__")
+        with pytest.raises(ValueError, match="measure"):
+            expand(spec4, herm4, polynomial_function([1.0, 0.0, -0.5]), n_max=2,
+                   route="bracket")
+        assert calls == []
 
 
 class TestEpsilonCombinatorics:
