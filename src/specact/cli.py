@@ -337,12 +337,11 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
     n_max = _number(section, "n_max", "verify", int, default=3, positive=True)
     mc_samples = _number(section, "mc_samples", "verify", int, default=100_000, positive=True)
     seed = _seed_of(section, "verify", override) if checks else 0
-    # the largest tuple sums the checks can draw (the unit insertion adds
-    # one operator to a bracket of n_max + 1)
+    # the largest tuple sums the checks can draw
     if "route-agreement" in checks:
         _check_budget(dim_max, n_max, DEFAULT_TUPLE_BUDGET)
     if "bracket-identities" in checks:
-        _check_budget(dim_max, n_max + 2, DEFAULT_TUPLE_BUDGET)
+        _check_budget(dim_max, n_max + 1, DEFAULT_TUPLE_BUDGET)
 
     f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
     rows: list[list] = []

@@ -459,6 +459,8 @@ class MultisetDivDiff:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("need a nonempty 1-d value list")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("values must be finite")
         order = np.argsort(vals, kind="stable")
         runs = _merge_runs(vals[order].tolist(), default_merge_tol(vals))
         self.cluster_of = np.empty(vals.size, dtype=int)

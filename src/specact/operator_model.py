@@ -212,12 +212,36 @@ def _cyclic_contract(mats: Sequence[np.ndarray], weight: np.ndarray) -> complex:
     return complex(np.einsum("ab,ba->", walk, mats[-1]))
 
 
-def bracket_dd(
-    ops: Sequence,
-    spec: Spectrum,
-    t: float,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> complex:
+def _bracket(mats: Sequence[np.ndarray], table: MultisetDivDiff) -> complex:
+    """<M_0,...,M_n>_n from a table of e^{-t u} on the squared spectrum.
+
+    The (-t)^n of n derivatives of e^{-t u} cancels the t^n of the
+    inflated simplex, leaving the (-1)^n; +/- eigenvalue pairs share
+    confluent entries."""
+    n = len(mats) - 1
+    return ((-1.0) ** n) * _cyclic_contract(mats, table.tensor(n + 1))
+
+
+def _unit_bracket(mats: Sequence[np.ndarray], weight: np.ndarray) -> complex:
+    """(-1)^k <1, M_1, ..., M_k>_k for weight = the doubled tensor of k slots.
+
+    The unit forces i_0 = i_1, the node the doubled tensor repeats in its
+    last slot, so M_1 goes last."""
+    return _cyclic_contract([*mats[1:], mats[0]], weight)
+
+
+def _bracket_setup(ops: Sequence, spec: Spectrum, t: float) -> tuple[list, MultisetDivDiff]:
+    """The validated operators A_0..A_n and the e^{-t u} table of their
+    brackets, built once N^(n+1) tuples are within DEFAULT_TUPLE_BUDGET."""
+    _require_finite_positive("heat time", t)
+    mats = [_square_complex(m, spec.dim) for m in ops]
+    if not mats:
+        raise ValueError("need at least one operator")
+    _check_budget(spec.dim, len(mats), DEFAULT_TUPLE_BUDGET)
+    return mats, MultisetDivDiff(exp_decay(t), spec.squares)
+
+
+def bracket_dd(ops: Sequence, spec: Spectrum, t: float) -> complex:
     """Closed-form bracket via divided differences of e^{-t u}; real up to
     rounding for self-adjoint arguments.
 
@@ -225,16 +249,7 @@ def bracket_dd(
     (A_n)_{i_n i_0} E_t[lam_{i_0}^2,...,lam_{i_n}^2].  Degenerate squared
     eigenvalues are handled by the confluent table.
     """
-    _require_finite_positive("heat time", t)
-    mats = [_square_complex(m, spec.dim) for m in ops]
-    n = len(mats) - 1
-    if n < 0:
-        raise ValueError("need at least one operator")
-    _check_budget(spec.dim, n + 1, budget)
-    # the (-t)^n of n derivatives of e^{-t u} cancels the t^n of the inflated
-    # simplex, leaving the (-1)^n; +/- eigenvalue pairs share confluent entries
-    weight = MultisetDivDiff(exp_decay(t), spec.squares).tensor(n + 1)
-    return ((-1.0) ** n) * _cyclic_contract(mats, weight)
+    return _bracket(*_bracket_setup(ops, spec, t))
 
 
 # sample rows per batched matrix product in _cyclic_heat_traces
@@ -322,33 +337,31 @@ def bracket_identity_check(ops: Sequence, spec: Spectrum, t: float) -> BracketId
 
     Residuals are relative to the magnitude of the quantities involved
     and pass at BRACKET_IDENTITY_TOL.  The [D^2, .] reduction needs order
-    >= 1; for a single operator that residual is reported as 0.  The
-    largest bracket (the unit insertion's n + 2 operators) is held to
-    DEFAULT_TUPLE_BUDGET before any is computed.
+    >= 1; for a single operator that residual is reported as 0.  Every
+    bracket reads one table of e^{-t u}, the unit insertions from its
+    doubled tensor, so no sum has more than N^(n+1) tuples.
     """
-    mats = [_square_complex(m, spec.dim) for m in ops]
+    mats, table = _bracket_setup(ops, spec, t)
     n = len(mats) - 1
-    _check_budget(spec.dim, n + 2, DEFAULT_TUPLE_BUDGET)
-    base = bracket_dd(mats, spec, t)
+    base = _bracket(mats, table)
     scale = max(abs(base), 1e-15)
 
     cyc = 0.0
     for r in range(1, n + 1):
         rotated = mats[r:] + mats[:r]
-        cyc = max(cyc, _rel(abs(bracket_dd(rotated, spec, t) - base), scale))
+        cyc = max(cyc, _rel(abs(_bracket(rotated, table) - base), scale))
 
-    eye = np.eye(spec.dim, dtype=complex)
-    inserted = 0.0j
-    for r in range(n + 1):
-        rotated = [eye] + mats[r:] + mats[:r]
-        inserted += bracket_dd(rotated, spec, t)
+    # sum_i <1, A_i, ..., A_{i-1}>_{n+1}, each (-1)^(n+1) times _unit_bracket
+    weight = table.doubled_tensor(n + 1)
+    inserted = (-1.0) ** (n + 1) * sum(
+        _unit_bracket(mats[r:] + mats[:r], weight) for r in range(n + 1))
     ins = _rel(abs(t * base - inserted), max(abs(t * base), abs(inserted), 1e-15))
 
     terms = []
     for i in range(n + 1):
         bumped = list(mats)
         bumped[i] = commutator_with_d(spec, mats[i])
-        terms.append(bracket_dd(bumped, spec, t))
+        terms.append(_bracket(bumped, table))
     comm_scale = max(max((abs(v) for v in terms), default=0.0), scale)
     comm = _rel(abs(sum(terms)), comm_scale)
 
@@ -357,7 +370,7 @@ def bracket_identity_check(ops: Sequence, spec: Spectrum, t: float) -> BracketId
         for i in range(n + 1):
             bumped = list(mats)
             bumped[i] = commutator_with_d2(spec, mats[i])
-            lhs = bracket_dd(bumped, spec, t)
+            lhs = _bracket(bumped, table)
             if i >= 1:
                 left = mats[: i - 1] + [mats[i - 1] @ mats[i]] + mats[i + 1 :]
             else:
@@ -366,7 +379,7 @@ def bracket_identity_check(ops: Sequence, spec: Spectrum, t: float) -> BracketId
                 right = mats[:i] + [mats[i] @ mats[i + 1]] + mats[i + 2 :]
             else:
                 right = [mats[n] @ mats[0]] + mats[1:n]
-            rhs = bracket_dd(left, spec, t) - bracket_dd(right, spec, t)
+            rhs = _bracket(left, table) - _bracket(right, table)
             red = max(red, _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs), scale)))
 
     return BracketIdentityReport(

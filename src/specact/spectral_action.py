@@ -47,6 +47,7 @@ from .operator_model import (
     _require_finite_positive,
     _square_complex,
     _trace_of,
+    _unit_bracket,
     anticommutator_with_d,
     bracket_dd,  # noqa: F401  still bound here: the benchmark's tracer wraps this binding
     require_hermitian,
@@ -54,7 +55,6 @@ from .operator_model import (
 
 __all__ = [
     "CircleContour",
-    "EpsilonMultiIndex",
     "TaylorReport",
     "action_exact",
     "taylor_term",
@@ -104,21 +104,21 @@ def _dd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: Smooth
 
 def _theorem_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
                     f: SmoothFunction, budget: int) -> list[float]:
-    """n * sum A_{i_n i_1} ... A_{i_{n-1} i_n} f[lam_{i_n}, lam_{i_1}, ...,
-    lam_{i_n}] at each order, over one table of f on the spectrum."""
+    """sum A_{i_n i_1} ... A_{i_{n-1} i_n} f[lam_{i_n}, lam_{i_1}, ...,
+    lam_{i_n}] at each order, over one table of f on the spectrum: the
+    contribution, by the doubled-node derivative identity."""
     _check_budget(spec.dim, orders[-1], budget)
     table = MultisetDivDiff(f, spec.eigenvalues)
     table._level(orders[-1] + 1)
-    return [float((_cyclic_contract([mat] * n, table.doubled_tensor(n)) * n).real) for n in orders]
+    return [float(_cyclic_contract([mat] * n, table.doubled_tensor(n)).real) for n in orders]
 
 
 def _bracket_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
                     g: SmoothFunction | None, budget: int) -> list[float]:
     """The bracket sum at each order, over one table of g on the squared
     spectrum, where f(x) = g(x^2): divided differences are linear, so the
-    mu-integral of the e^{-tu} brackets is g's bracket.  The unit in
-    <1, B_1, ..., B_k> forces i_0 = i_1: the doubled tensor's last slot,
-    so B_1 goes last."""
+    mu-integral of the e^{-tu} brackets is g's bracket, and each
+    <1, B_1, ..., B_k> is a unit bracket of the doubled tensor."""
     if g is None:
         raise ValueError("bracket route needs f = g(x^2): a measure or a square companion")
     _check_budget(spec.dim, orders[-1], budget)
@@ -134,8 +134,7 @@ def _bracket_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
         for k, group in groupby(step_bitstrings(n), key=len):
             weight = table.doubled_tensor(k)
             for bits in group:
-                ops = [sq if b else anti for b in bits[1:] + bits[:1]]
-                total += _cyclic_contract(ops, weight)
+                total += _unit_bracket([sq if b else anti for b in bits], weight)
         out.append(float(total.real))
     return out
 
@@ -244,7 +243,7 @@ def taylor_term_theorem_form(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return _theorem_orders((n,), spec, require_hermitian(a, spec.dim), f, budget)[0]
+    return _theorem_orders((n,), spec, require_hermitian(a, spec.dim), f, budget)[0] * n
 
 
 def taylor_term_bracket_form(
@@ -296,13 +295,11 @@ def gateaux_fd(n: int, spec: Spectrum, a, f: SmoothFunction, h: float = 0.05) ->
 
 
 # route name -> its all-orders pass (orders, spec, mat, f, budget, fd_step)
-# -> the contributions at those orders; the theorem form's raw sums are
-# n times the contribution
+# -> the contributions at those orders
 ROUTES = {
     "dd": lambda orders, spec, mat, f, budget, h: _dd_orders(orders, spec, mat, f, budget),
-    "theorem": lambda orders, spec, mat, f, budget, h: [
-        v / n for n, v in zip(orders, _theorem_orders(orders, spec, mat, f, budget))
-    ],
+    "theorem": lambda orders, spec, mat, f, budget, h: _theorem_orders(
+        orders, spec, mat, f, budget),
     "bracket": lambda orders, spec, mat, f, budget, h: _bracket_orders(
         orders, spec, mat, f.square_companion, budget
     ),
@@ -395,7 +392,9 @@ class TaylorReport:
         for eps, rem in zip(self.scaling_factors, self.scaled_remainders):
             lines.append(f"remainder at scale {eps:g}: {rem:.6e}")
         if self.scaling_exponent is None:
-            lines.append("scaling exponent: undetermined (vanishing remainder)")
+            cause = ("fewer than two distinct scaling factors"
+                     if len(set(self.scaling_factors)) < 2 else "a zero remainder")
+            lines.append(f"scaling exponent: undetermined ({cause})")
         else:
             lines.append(f"scaling exponent estimate: {self.scaling_exponent:.3f}")
         return "\n".join(lines)
@@ -457,33 +456,12 @@ def expand(
     )
 
 
-@dataclass(frozen=True)
-class EpsilonMultiIndex:
-    """Step bitstring eps in {0,1}^k; order n = sum_i (1 + eps_i)."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def order(self) -> int:
-        return len(self.bits) + sum(self.bits)
-
-    @property
-    def k(self) -> int:
-        return len(self.bits)
-
-
-def epsilon_enumerate(n: int) -> list[EpsilonMultiIndex]:
+def epsilon_enumerate(n: int) -> list[tuple[int, ...]]:
     """Every step bitstring of order n (Fibonacci-many), shortest first."""
-    return [EpsilonMultiIndex(bits) for bits in step_bitstrings(n)]
+    return step_bitstrings(n)
 
 
-def epsilon_parent_move_count(child: EpsilonMultiIndex | Sequence[int]) -> int:
+def epsilon_parent_move_count(child: Sequence[int]) -> int:
     """Number of (parent, move) pairs of order n producing this order-(n+1)
     bitstring, counted by brute force.
 
@@ -491,7 +469,9 @@ def epsilon_parent_move_count(child: EpsilonMultiIndex | Sequence[int]) -> int:
     parent to 1, which counts twice.  The combinatorial identity says the
     total is always n + 1.
     """
-    target = child.bits if isinstance(child, EpsilonMultiIndex) else tuple(int(b) for b in child)
+    target = tuple(int(b) for b in child)
+    if any(b not in (0, 1) for b in target):
+        raise ValueError(f"bits must be 0 or 1, got {tuple(child)}")
     order = len(target) + sum(target)
     if order < 1:
         raise ValueError("child must have order >= 1")

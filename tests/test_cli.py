@@ -299,7 +299,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("check,dim_max,n_max", [
         ("route-agreement", 26, 5),     # 26^5 tuples at order 5
-        ("bracket-identities", 26, 3),  # 26^5: an order-3 bracket plus the unit
+        ("bracket-identities", 57, 3),  # 57^4 tuples in a bracket of order 3
     ])
     def test_budget_checked_before_any_instance(self, tmp_path, capsys, monkeypatch,
                                                 check, dim_max, n_max):
@@ -308,13 +308,27 @@ class TestVerify:
 
         for route in ROUTES:
             monkeypatch.setitem(ROUTES, route, refuse)
-        monkeypatch.setattr("specact.operator_model.bracket_dd", refuse)
+        # every bracket of the identity check reads a table built here
+        monkeypatch.setattr(specact.MultisetDivDiff, "__init__", refuse)
         cfg = dict(BASE_CFG, verify={"seed": 7, "checks": [check],
                                      "dim_max": dim_max, "n_max": n_max})
         path = write_cfg(tmp_path / "c.json", cfg)
         assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 4
         assert "budget exceeded" in capsys.readouterr().err
         assert not (tmp_path / "verify.csv").exists()
+
+    def test_bracket_budget_at_its_edge(self, tmp_path, monkeypatch):
+        # 10^7 tuples in a bracket of order 6 is within the budget: the
+        # check starts its first instance
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was computed")
+
+        monkeypatch.setattr(specact.MultisetDivDiff, "__init__", refuse)
+        cfg = dict(BASE_CFG, verify={"seed": 7, "checks": ["bracket-identities"],
+                                     "dim_max": 10, "n_max": 6})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        with pytest.raises(AssertionError, match="instance"):
+            main(["verify", "--config", path, "--out", str(tmp_path)])
 
     def test_route_agreement_covers_every_registered_route(self, tmp_path, monkeypatch):
         monkeypatch.setitem(ROUTES, "dd2", ROUTES["dd"])

@@ -336,6 +336,13 @@ class TestMultisetDivDiff:
         with pytest.raises(ValueError, match="index"):
             table.value(())
 
+    def test_rejects_nonfinite_values(self, mix):
+        # an infinite value would widen the merge tolerance to inf and fold
+        # every node into one cluster; a nan would stall the series
+        for values, slots in (([math.inf, 1.0], 1), ([math.nan, 1.0], 2)):
+            with pytest.raises(ValueError, match="finite"):
+                MultisetDivDiff(mix, values).tensor(slots)
+
     def test_value_rejects_indices_outside_the_nodes(self, mix):
         # numpy would wrap -1 round to the last node and read f(2.0);
         # floats and bools are no indices, whatever numpy makes of them

@@ -30,7 +30,7 @@ from specact import (
 )
 from specact.errors import BudgetExceededError
 from specact.functions import exp_decay
-from specact.operator_model import _cyclic_contract
+from specact.operator_model import _cyclic_contract, _unit_bracket
 from specact.rng import make_rng
 
 
@@ -177,7 +177,7 @@ class TestBracketDD:
         spec = linear_spectrum(40)
         eye = np.eye(40)
         with pytest.raises(BudgetExceededError):
-            bracket_dd([eye] * 6, spec, 1.0, budget=10_000_000)
+            bracket_dd([eye] * 6, spec, 1.0)
 
     def test_rejects_nonpositive_t(self, spec4, herm4):
         for t in (-1.0, math.inf):
@@ -274,11 +274,50 @@ class TestBracketIdentities:
             raise AssertionError("a divided-difference table was built")
 
         monkeypatch.setattr(MultisetDivDiff, "__init__", refuse)
-        # seven operators at N = 10: each bracket of 7 is within the 10^7
-        # budget, but the unit insertion's 8 operators need 10^8 tuples
+        # eight operators at N = 10 need 10^8 tuples, over the 10^7 budget;
+        # seven need exactly 10^7, within it, so they reach the table
         spec = linear_spectrum(10)
         with pytest.raises(BudgetExceededError):
+            bracket_identity_check([np.eye(10)] * 8, spec, t=0.5)
+        with pytest.raises(AssertionError, match="table was built"):
             bracket_identity_check([np.eye(10)] * 7, spec, t=0.5)
+
+    def test_rejects_empty_list_and_bad_time(self, spec4, herm4):
+        with pytest.raises(ValueError, match="operator"):
+            bracket_identity_check([], spec4, t=0.5)
+        for t in (0.0, math.inf):
+            with pytest.raises(ValueError, match="heat time"):
+                bracket_identity_check([herm4], spec4, t)
+
+    def test_builds_one_table(self, spec4, rng, monkeypatch):
+        calls = []
+        original = MultisetDivDiff.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(MultisetDivDiff, "__init__", counting)
+        ops = [random_hermitian(4, rng, norm=1.0) for _ in range(4)]
+        assert bracket_identity_check(ops, spec4, t=0.7).passed
+        # every bracket and every unit insertion reads one e^{-tu} table
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", ["random", "dirac"])
+    def test_unit_bracket_matches_literal_unit(self, family):
+        # (-1)^k <1, M_1, ..., M_k>_k from the doubled tensor against the
+        # definition: a unit matrix in slot 0 of an order-k bracket
+        rng = make_rng(31)
+        for dim in range(1, 6):
+            spec = random_spectrum(dim, 2.0, rng) if family == "random" \
+                else dirac_circle_spectrum(dim)
+            t = float(rng.uniform(0.2, 1.5))
+            table = MultisetDivDiff(exp_decay(t), spec.squares)
+            for k in range(1, 5):
+                mats = [random_hermitian(dim, rng) for _ in range(k)]
+                got = (-1.0) ** k * _unit_bracket(mats, table.doubled_tensor(k))
+                ref = bracket_dd([np.eye(dim), *mats], spec, t)
+                assert abs(got - ref) <= 1e-13 * abs(ref), (family, dim, k)
 
 
 class TestDuhamel:

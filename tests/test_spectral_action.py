@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from specact import (
     CircleContour,
-    EpsilonMultiIndex,
     MultisetDivDiff,
     Spectrum,
     action_exact,
@@ -211,9 +210,12 @@ class TestRouteAgreement:
                 assert abs(other - dd) <= 1e-8 * scale
             fd = gateaux_fd(n, spec, a, mix, h=0.05)
             assert abs(fd - dd) <= 1e-4 * scale
-            # expand's all-orders pass gives each per-order value bit for bit
-            for route, value in dict(routes, dd=dd, fd=fd).items():
-                assert reports[route].contributions[n] == value, (route, n)
+            # expand's all-orders pass gives each per-order value bit for bit;
+            # the theorem form is n times the theorem route's contribution
+            raw = {"theorem": taylor_term_theorem_form(n, spec, a, mix)}
+            for route, value in dict(routes, dd=dd, fd=fd, **raw).items():
+                scale = n if route in raw else 1
+                assert scale * reports[route].contributions[n] == value, (route, n)
 
 
 class TestExpand:
@@ -285,6 +287,18 @@ class TestExpand:
     def test_text_summary_mentions_route(self, spec4, herm4, mix):
         report = expand(spec4, 0.2 * herm4, mix, n_max=1)
         assert "dd" in report.text_summary()
+
+    def test_text_summary_names_why_the_exponent_is_undetermined(self, mix_single, mix):
+        spec = linear_spectrum(4)
+        a = random_hermitian(4, make_rng(1), norm=0.2)
+        # one factor: the remainder is nonzero, but one point fixes no slope
+        one = expand(spec, a, mix_single, n_max=2, scaling_factors=(1.0,))
+        assert one.scaling_exponent is None and one.scaled_remainders[0] > 1e-4
+        assert "undetermined (fewer than two distinct scaling factors)" in one.text_summary()
+        # no perturbation: every remainder is zero
+        zero = expand(spec, np.zeros((4, 4)), mix, n_max=2)
+        assert zero.scaling_exponent is None and 0.0 in zero.scaled_remainders
+        assert "undetermined (a zero remainder)" in zero.text_summary()
 
     def test_unknown_route_rejected(self, spec4, herm4, mix):
         with pytest.raises(ValueError):
@@ -383,17 +397,17 @@ class TestExpand:
 
 class TestEpsilonCombinatorics:
     def test_order_zero_and_small(self):
-        assert [e.bits for e in epsilon_enumerate(0)] == [()]
-        assert [e.bits for e in epsilon_enumerate(1)] == [(0,)]
-        two = {e.bits for e in epsilon_enumerate(2)}
-        assert two == {(1,), (0, 0)}
+        assert epsilon_enumerate(0) == [()]
+        assert epsilon_enumerate(1) == [(0,)]
+        assert set(epsilon_enumerate(2)) == {(1,), (0, 0)}
 
     def test_order_and_k_bounds(self):
         for n in range(1, 9):
-            for e in epsilon_enumerate(n):
-                assert e.order == n
+            for bits in epsilon_enumerate(n):
+                k = len(bits)
+                assert k + sum(bits) == n
                 # k ones among length-k strings: n = k + #ones
-                assert e.k <= n <= 2 * e.k
+                assert k <= n <= 2 * k
 
     def test_fibonacci_counts(self):
         counts = [len(epsilon_enumerate(n)) for n in range(10)]
@@ -409,8 +423,8 @@ class TestEpsilonCombinatorics:
             epsilon_parent_move_count(())
 
     def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            EpsilonMultiIndex((0, 2))
+        with pytest.raises(ValueError, match="0 or 1"):
+            epsilon_parent_move_count((0, 2))
 
 
 class TestTadpole:
