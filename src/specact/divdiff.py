@@ -5,7 +5,8 @@ The recursive definition f[x_0,...,x_n] =
 (f[x_1,...,x_n] - f[x_0,...,x_{n-1}]) / (x_n - x_0) extends to repeated
 nodes by f[x,...,x] = f^{(m)}(x)/m! (m+1 copies).  Nodes closer than a
 merge tolerance are clustered to their mean before tabulation, trading a
-small, reported node perturbation for numerical stability.
+small, reported node perturbation for numerical stability.  dd_recursive
+and MultisetDivDiff fill their tables by one rule, _fill_levels.
 
 Independent evaluation routes implemented here:
 
@@ -97,8 +98,8 @@ class NodeList:
         tol = self.merge_tol
         if tol is None:
             tol = default_merge_tol(nodes)
-        elif not tol >= 0.0:
-            raise ValueError(f"merge tolerance must be nonnegative, got {tol}")
+        elif not 0.0 <= tol < math.inf:
+            raise ValueError(f"merge tolerance must be finite and nonnegative, got {tol}")
         object.__setattr__(self, "merge_tol", float(tol))
 
     def __len__(self) -> int:
@@ -133,84 +134,24 @@ SERIES_SPAN = 0.5
 SERIES_LADDER = 24
 
 
-def _dd_series(f: SmoothFunction, zs: np.ndarray) -> float:
-    """Centered Taylor value of f[z_0, ..., z_n] for a narrow node block.
-
-    Expands f around the block mean c: the divided difference of (x - c)^j
-    is the complete homogeneous symmetric polynomial h_{j-n}(z - c), so
-    f[z_0..z_n] = sum_{k>=0} f^{(n+k)}(c) / (n+k)! h_k(z - c).  The h_k
-    follow the prefix recurrence h_k(v_0..v_m) = h_k(v_0..v_{m-1}) +
-    v_m h_{k-1}(v_0..v_m).  Needs derivatives of arbitrary order; they
-    come from one derivative ladder, rebuilt twice as long whenever the
-    series outruns it.
-    """
-    n = len(zs) - 1
-    center = float(np.mean(zs))
-    v = (zs - center).tolist()
-    h = [1.0] * (n + 1)
-    coef = 1.0 / math.factorial(n)
-    ladder = f.deriv_ladder(n + SERIES_LADDER, center)
-    total = ladder[n] * coef
-    scale = abs(total)
-    small = 0
-    for k in range(1, 200):
-        coef /= n + k
-        prev = v[0] * h[0]
-        h[0] = prev
-        for m in range(1, n + 1):
-            prev = prev + v[m] * h[m]
-            h[m] = prev
-        if n + k >= len(ladder):
-            ladder = f.deriv_ladder(min(2 * (len(ladder) - 1), n + 199), center)
-        term = ladder[n + k] * coef * h[n]
-        total += term
-        scale = max(scale, abs(total))
-        if abs(term) <= 1e-17 * scale + 1e-300:
-            small += 1
-            if small >= 2:
-                # a non-finite term leaves the sum non-finite: the ladder overflowed
-                if not math.isfinite(total):
-                    break
-                return total
-        else:
-            small = 0
-    raise RuntimeError("divided-difference series did not converge")
-
-
 def dd_recursive(f: SmoothFunction, nodes: NodeList | Sequence[float]) -> float:
     """Confluent Newton table value f[x_0, ..., x_n].
 
-    Coincident clusters feed f^{(j)}(x)/j! into the table, taken from one
-    derivative ladder per cluster.  The result is symmetric under node
-    permutations because the table works on sorted nodes.  Spans narrower
-    than SERIES_SPAN are evaluated by the centered series, so the
-    recursion never divides by a small gap.
+    The table runs on the sorted, clustered nodes: its entries of size s
+    are the windows of s consecutive nodes, each filled by _fill_levels
+    from the two windows of size s - 1 it spans, so the result is symmetric
+    under node permutations and equals MultisetDivDiff on the same
+    clusters bit for bit.
     """
-    nl = as_nodes(nodes)
-    clusters = nl.clusters()
-    z = np.array([value for value, mult in clusters for _ in range(mult)])
-    m = len(z)
-    if m > 1 and z[-1] - z[0] <= SERIES_SPAN and z[-1] > z[0]:
-        return _dd_series(f, z)
-    ladders = {value: f.deriv_ladder(mult - 1, value) for value, mult in clusters if mult > 1}
-    col = np.asarray(f(z), dtype=float)
-    if col.ndim == 0:
-        col = col.reshape(1)
-    col = col.tolist()
-    zl = z.tolist()
-    inv_fact = 1.0
-    for j in range(1, m):
-        inv_fact /= j
-        new = [0.0] * (m - j)
-        for i in range(m - j):
-            if zl[i + j] == zl[i]:
-                new[i] = ladders[zl[i]][j] * inv_fact
-            elif zl[i + j] - zl[i] <= SERIES_SPAN:
-                new[i] = _dd_series(f, z[i : i + j + 1])
-            else:
-                new[i] = (col[i + 1] - col[i]) / (zl[i + j] - zl[i])
-        col = new
-    return float(col[0])
+    clusters = as_nodes(nodes).clusters()
+    rep = np.array([value for value, _ in clusters])
+    ids = np.repeat(np.arange(len(clusters)), [mult for _, mult in clusters])
+    values = [np.asarray(f(rep), dtype=float)[ids]]
+    windows = [(np.lib.stride_tricks.sliding_window_view(ids, s), np.arange(len(ids) - s + 1),
+                np.arange(1, len(ids) - s + 2)) for s in range(2, len(ids) + 1)]
+    if windows:
+        _fill_levels(f, rep, windows, values, {"series": 0, "newton": 0, "ladder": 0})
+    return float(values[-1][0])
 
 
 def dd_hermite_mc(
@@ -436,22 +377,13 @@ class MultisetDivDiff:
     of level s - 1 with cluster c added.  Every lookup chains ext over
     its ids in any order, so no key is ever sorted or searched for.
     Asking for level s builds every missing level up to s in one pass:
+    first the keys, extension table, heads and tails of every new level,
+    each from the one below (they depend only on K), then their values
+    through _fill_levels.
 
-      * first the keys, extension table and tails of every new level,
-        each from the one below (they depend only on K);
-      * then the narrow multisets of all new levels (end nodes at most
-        SERIES_SPAN apart, not a single node) as rows of one batched
-        centered series;
-      * then level by level, a multiset whose end nodes lie more than
-        SERIES_SPAN apart is one Newton step,
-        (V[tail] - V[head]) / (x_last - x_first), from its two
-        one-smaller sub-multisets, and a confluent one (a single node s
-        times) is f^{(s-1)}(x)/(s-1)!, from one derivative ladder over all
-        nodes that serves every new level.
-
-    These are the blocks dd_recursive builds, so each value equals
-    dd_recursive on the same nodes bit for bit.  ``evaluations`` counts
-    the multisets each path has evaluated.
+    dd_recursive runs the same fill over the windows of its sorted nodes,
+    so each value equals dd_recursive on the same nodes bit for bit.
+    ``evaluations`` counts the multisets each path has evaluated.
     """
 
     def __init__(self, fn: SmoothFunction, values):
@@ -502,13 +434,11 @@ class MultisetDivDiff:
 
     def _build(self, top: int) -> None:
         """Build every level from the smallest missing one up to ``top``:
-        all keys, then one series batch, then the Newton and confluent
-        steps level by level."""
+        all keys, heads and tails, then their values in one fill."""
         k = len(self.rep)
         ids = np.arange(k)
-        sizes = range(len(self._values), top + 1)
-        steps, narrow_rows = [], []
-        for s in sizes:
+        levels = []
+        for s in range(len(self._values), top + 1):
             # each key p of level s - 1 gains one last id >= its own last
             # one, in ascending order from start[p]; p is their head
             prev_keys = self._keys[s - 1]
@@ -530,28 +460,8 @@ class MultisetDivDiff:
             self._tails.append(self._ext[s - 1][self._tails[s - 1][head], new])
             self._heads.append(head.astype(np.min_scalar_type(len(prev_keys))))
             self._keys.append(keys)
-            confluent = keys[:, 0] == new
-            wide = self.rep[new] - self.rep[keys[:, 0]] > SERIES_SPAN
-            narrow = ~(wide | confluent)
-            steps.append((confluent, wide, narrow))
-            narrow_rows.append(self.rep[keys[narrow]])
-        series = _dd_series_rows(self.fn, narrow_rows)
-        ladder = self.fn.deriv_ladder(top - 1, self.rep)
-        for s, (confluent, wide, narrow), narrow_values in zip(sizes, steps, series):
-            keys, prev_values = self._keys[s], self._values[s - 1]
-            values = np.empty(len(keys))
-            values[narrow] = narrow_values
-            self._counts["series"] += len(narrow_values)
-            lo, hi = self.rep[keys[wide, 0]], self.rep[keys[wide, -1]]
-            tail, head = self._tails[s][wide], self._heads[s][wide]
-            values[wide] = (prev_values[tail] - prev_values[head]) / (hi - lo)
-            self._counts["newton"] += len(tail)
-            inv_fact = 1.0
-            for j in range(1, s):
-                inv_fact /= j
-            values[confluent] = ladder[s - 1] * inv_fact
-            self._counts["ladder"] += k
-            self._values.append(values)
+            levels.append((keys, self._heads[s], self._tails[s]))
+        _fill_levels(self.fn, self.rep, levels, self._values, self._counts)
 
     def tensor(self, slots: int) -> np.ndarray:
         """Dense array T[i_0...i_{slots-1}] of divided-difference values."""
@@ -584,19 +494,69 @@ class MultisetDivDiff:
         return values[last][pos]
 
 
-def _dd_series_rows(f: SmoothFunction, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """_dd_series on every row of every block at once, one value array per
-    block; the rows of one block hold equally many nodes.
+def _fill_levels(fn: SmoothFunction, rep: np.ndarray,
+                 levels: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 values: list[np.ndarray], counts: dict[str, int]) -> None:
+    """Append to ``values`` the divided differences of each level of
+    sorted cluster-id keys, given in ascending size as (keys, head, tail):
+    a (count, s) key array and the positions of key[:-1] and key[1:] in
+    the level below, whose values are ``values[-1]`` on entry.
 
-    Rows are centred by their own block's mean, padded with zero offsets
-    v_m to top + 1 nodes, and share one ladder at their centres.  One
-    diagonal step per term, g[m] <- g[m-1] + v_m g[m] on
-    g[m] = h_{d-m}(v_0..v_m), is the scalar series' multiply and add; a
-    zero offset adds nothing, so g[top] on diagonal top + k is h_k at each
-    row's own n.  The terms one ladder covers form a block: accumulate
-    calls give their coefficients, running totals and running scales in
-    the scalar order, and a row stops at its first two small terms in a
-    row.  Rows still live rebuild the ladder twice as long.
+      * A confluent key (one cluster s times) is f^{(s-1)}(x)/(s-1)!, from
+        one derivative ladder at the cluster nodes that serves every level.
+      * A narrow key (end nodes at most SERIES_SPAN apart) is a row of one
+        centred series batch over all levels.
+      * A wide key is one Newton step from its head and tail,
+        (V[tail] - V[head]) / (x_last - x_first), so the recursion never
+        divides by a gap narrower than SERIES_SPAN.
+
+    ``counts`` gains the keys each path evaluated.
+    """
+    steps, narrow_rows = [], []
+    for keys, _, _ in levels:
+        first, last = keys[:, 0], keys[:, -1]
+        confluent = first == last
+        wide = rep[last] - rep[first] > SERIES_SPAN
+        narrow = ~(wide | confluent)
+        steps.append((confluent, wide, narrow))
+        narrow_rows.append(rep[keys[narrow]])
+    series = _dd_series_rows(fn, narrow_rows)
+    ladder = fn.deriv_ladder(levels[-1][0].shape[1] - 1, rep)
+    for (keys, head, tail), (confluent, wide, narrow), narrow_values in zip(levels, steps, series):
+        s = keys.shape[1]
+        level = np.empty(len(keys))
+        level[narrow] = narrow_values
+        counts["series"] += len(narrow_values)
+        lo, hi = rep[keys[wide, 0]], rep[keys[wide, -1]]
+        level[wide] = (values[-1][tail[wide]] - values[-1][head[wide]]) / (hi - lo)
+        counts["newton"] += len(lo)
+        inv_fact = 1.0
+        for j in range(1, s):
+            inv_fact /= j
+        cluster = keys[confluent, 0]
+        level[confluent] = ladder[s - 1][cluster] * inv_fact
+        counts["ladder"] += len(cluster)
+        values.append(level)
+
+
+def _dd_series_rows(f: SmoothFunction, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Centred Taylor values of f[z_0, ..., z_n] for every row of every
+    block at once, one value array per block; the rows of one block hold
+    equally many nodes, their ends at most SERIES_SPAN apart.
+
+    Each row expands f around its mean c: the divided difference of
+    (x - c)^j is the complete homogeneous symmetric polynomial
+    h_{j-n}(z - c), so f[z_0..z_n] = sum_{k>=0} f^{(n+k)}(c) / (n+k)!
+    h_k(z - c), summed until two terms in a row fall below 1e-17 of the
+    largest partial sum.  Rows are padded with zero offsets v_m to top + 1
+    nodes and share one ladder at their centres.  One diagonal step per
+    term, g[m] <- g[m-1] + v_m g[m] on g[m] = h_{d-m}(v_0..v_m), is the
+    prefix recurrence h_k(v_0..v_m) = h_k(v_0..v_{m-1}) + v_m
+    h_{k-1}(v_0..v_m); a zero offset adds nothing, so g[top] on diagonal
+    top + k is h_k at each row's own n.  The terms one ladder covers form a
+    block: accumulate calls give their coefficients, running totals and
+    running scales in the order of a term-by-term sum.  Rows still live
+    rebuild the ladder twice as long.
     """
     counts = [len(b) for b in blocks]
     if not sum(counts):

@@ -22,13 +22,57 @@ from specact import (
     square_function,
     step_bitstrings,
 )
-from specact.divdiff import SERIES_LADDER, _dd_series, _dd_series_rows
+from specact.divdiff import SERIES_LADDER, SERIES_SPAN, _dd_series_rows
 from specact.functions import SmoothFunction
 from specact.rng import make_rng
 
 
 def gauss():
     return make_gaussian_mixture([(1.0, 1.0)])
+
+
+def _dd_series(f: SmoothFunction, zs: np.ndarray) -> float:
+    """Centered Taylor value of f[z_0, ..., z_n] for a narrow node block.
+
+    Expands f around the block mean c: the divided difference of (x - c)^j
+    is the complete homogeneous symmetric polynomial h_{j-n}(z - c), so
+    f[z_0..z_n] = sum_{k>=0} f^{(n+k)}(c) / (n+k)! h_k(z - c).  The h_k
+    follow the prefix recurrence h_k(v_0..v_m) = h_k(v_0..v_{m-1}) +
+    v_m h_{k-1}(v_0..v_m).  Needs derivatives of arbitrary order; they
+    come from one derivative ladder, rebuilt twice as long whenever the
+    series outruns it.
+    """
+    n = len(zs) - 1
+    center = float(np.mean(zs))
+    v = (zs - center).tolist()
+    h = [1.0] * (n + 1)
+    coef = 1.0 / math.factorial(n)
+    ladder = f.deriv_ladder(n + SERIES_LADDER, center)
+    total = ladder[n] * coef
+    scale = abs(total)
+    small = 0
+    for k in range(1, 200):
+        coef /= n + k
+        prev = v[0] * h[0]
+        h[0] = prev
+        for m in range(1, n + 1):
+            prev = prev + v[m] * h[m]
+            h[m] = prev
+        if n + k >= len(ladder):
+            ladder = f.deriv_ladder(min(2 * (len(ladder) - 1), n + 199), center)
+        term = ladder[n + k] * coef * h[n]
+        total += term
+        scale = max(scale, abs(total))
+        if abs(term) <= 1e-17 * scale + 1e-300:
+            small += 1
+            if small >= 2:
+                # a non-finite term leaves the sum non-finite: the ladder overflowed
+                if not math.isfinite(total):
+                    break
+                return total
+        else:
+            small = 0
+    raise RuntimeError("divided-difference series did not converge")
 
 
 class TestNodeList:
@@ -45,6 +89,9 @@ class TestNodeList:
             NodeList((0.0, 1.0), merge_tol=-1e-3)
         with pytest.raises(ValueError):
             NodeList((0.0, 1.0), merge_tol=float("nan"))
+        # an infinite tolerance merged every node into one
+        with pytest.raises(ValueError):
+            NodeList((0.0, 1.0), merge_tol=math.inf)
 
     def test_clusters_merge_near_nodes(self):
         nl = NodeList((1.0, 1.0 + 5e-10, 2.0))
@@ -115,6 +162,29 @@ class TestRecursive:
             c = dd_contour(f, nodes, center=float(np.mean(nodes)),
                            radius=0.6, points=2048)
             assert abs(r - c) <= 1e-10 * max(abs(c), 1e-12)
+
+    def test_narrow_span_reads_few_series_rows_and_no_table(self, mix, monkeypatch):
+        # a dense table would hold C(K + m - 1, m) keys per level; the
+        # triangle asks the series for at most its m(m - 1)/2 windows
+        import specact.divdiff as divdiff_module
+
+        rows = []
+        series = divdiff_module._dd_series_rows
+
+        def counted(f, blocks):
+            rows.append(sum(len(b) for b in blocks))
+            return series(f, blocks)
+
+        def refuse(*args):
+            raise AssertionError("dd_recursive built a MultisetDivDiff")
+
+        monkeypatch.setattr(divdiff_module, "_dd_series_rows", counted)
+        monkeypatch.setattr(MultisetDivDiff, "__init__", refuse)
+        for m in (2, 5, 11):
+            nodes = np.linspace(-0.2, -0.2 + 0.9 * SERIES_SPAN, m)
+            rows.clear()
+            dd_recursive(mix, nodes)
+            assert 1 <= sum(rows) <= m * (m - 1) // 2, m
 
     def test_mean_value_bracketing(self, mix):
         # f[x0..xn] = f^(n)(xi)/n! for some xi inside the hull

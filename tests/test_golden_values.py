@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from specact import (
+    NodeList,
     Spectrum,
     bracket_dd,
     dd_contour,
+    dd_recursive,
     expand,
     fd_noise_floor,
     gateaux_fd,
@@ -80,3 +82,20 @@ def test_bracket_dd():
 def test_dd_contour():
     value = dd_contour(F, [-0.8, 0.1, 0.1, 1.2], center=0.2, radius=2.0, points=256)
     assert value == pytest.approx(0.20832322830331024, rel=REL)
+
+
+# one case per fill rule: a single node, a confluent node, a narrow span
+# (centred series), wide nodes holding a confluent and a narrow pair (Newton
+# steps over both), and two nodes 1e-12 apart kept apart
+DD_RECURSIVE_VALUES = [
+    ([0.4], 1.4060135967981928),
+    ([0.3, 0.3, 0.3], -1.0104108844628434),
+    ([0.1, 0.2, 0.35, 0.5], 0.56901896735467361),
+    ([-1.2, -1.2, -0.3, -0.1, 0.8, 1.7], 0.035475414688660299),
+    (NodeList((0.7, 0.7 + 1e-12), merge_tol=0.0), -1.1864128579198991),
+]
+
+
+@pytest.mark.parametrize("nodes, expected", DD_RECURSIVE_VALUES)
+def test_dd_recursive(nodes, expected):
+    assert dd_recursive(F, nodes) == pytest.approx(expected, rel=REL)
