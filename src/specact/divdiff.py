@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 
-# an enclosing ellipse takes this many points per 16 units of a/b, and the
-# resolvent route fills its (points, N, N) work arrays this many at a time
+# the resolvent route fills its (points, N, N) work arrays this many points
+# at a time
 CONTOUR_BLOCK = 512
 
 
@@ -147,8 +147,11 @@ def dd_recursive(f: SmoothFunction, nodes: NodeList | Sequence[float]) -> float:
     rep = np.array([value for value, _ in clusters])
     ids = np.repeat(np.arange(len(clusters)), [mult for _, mult in clusters])
     values = [np.asarray(f(rep), dtype=float)[ids]]
+    # nodes within SERIES_SPAN fill only the top window: one series row, or
+    # one ladder value for one cluster, needing no window below it
+    low = 2 if rep[-1] - rep[0] > SERIES_SPAN else max(len(ids), 2)
     windows = [(np.lib.stride_tricks.sliding_window_view(ids, s), np.arange(len(ids) - s + 1),
-                np.arange(1, len(ids) - s + 2)) for s in range(2, len(ids) + 1)]
+                np.arange(1, len(ids) - s + 2)) for s in range(low, len(ids) + 1)]
     if windows:
         _fill_levels(f, rep, windows, values, {"series": 0, "newton": 0, "ladder": 0})
     return float(values[-1][0])
@@ -216,16 +219,20 @@ class CircleContour:
         1), so every atom exp(-t z^2) stays below e on it at any spectral
         width; the cap at 1 keeps a wide atom (t < 1) from stretching the
         ellipse, which near the spectrum's ends would narrow the trapezoid
-        rule's analytic strip like 1/b.  The rule's rate shrinks like b/a
-        (real semi-axis a >= 1 >= b), so it takes CONTOUR_BLOCK points per
-        16 units of a/b."""
+        rule's analytic strip like 1/b.  Every pole lies on the focal
+        segment (a - 1 <= sqrt(a^2 - b^2) as 2a >= 1 + b^2, a the real
+        semi-axis), at conformal distance psi = artanh(b/a), where the rule
+        errs like exp(-points psi) (Trefethen & Weideman): so it takes
+        ceil(64 / min(1, psi)) points, the cap (psi = inf on a circle)
+        giving f's growth outside the same exp(-64) margin."""
         lam = spec.eigenvalues
         center = 0.5 * float(lam[0] + lam[-1])
         radius = 0.5 * float(lam[-1] - lam[0]) + 1.0
         imag = 1.0
         if f.measure is not None:
             imag = min(imag, 1.0 / math.sqrt(float(np.max(f.measure.ts))))
-        points = CONTOUR_BLOCK * math.ceil(radius / (16.0 * imag))
+        psi = math.atanh(imag / radius) if imag < radius else math.inf
+        points = math.ceil(64.0 / min(1.0, psi))
         return cls(center=center, radius=radius, points=points, imag_radius=imag)
 
     def _nodes_weights(self, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -521,7 +528,8 @@ def _fill_levels(fn: SmoothFunction, rep: np.ndarray,
         steps.append((confluent, wide, narrow))
         narrow_rows.append(rep[keys[narrow]])
     series = _dd_series_rows(fn, narrow_rows)
-    ladder = fn.deriv_ladder(levels[-1][0].shape[1] - 1, rep)
+    if any(confluent.any() for confluent, _, _ in steps):
+        ladder = fn.deriv_ladder(levels[-1][0].shape[1] - 1, rep)
     for (keys, head, tail), (confluent, wide, narrow), narrow_values in zip(levels, steps, series):
         s = keys.shape[1]
         level = np.empty(len(keys))
@@ -534,7 +542,8 @@ def _fill_levels(fn: SmoothFunction, rep: np.ndarray,
         for j in range(1, s):
             inv_fact /= j
         cluster = keys[confluent, 0]
-        level[confluent] = ladder[s - 1][cluster] * inv_fact
+        if len(cluster):
+            level[confluent] = ladder[s - 1][cluster] * inv_fact
         counts["ladder"] += len(cluster)
         values.append(level)
 

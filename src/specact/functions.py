@@ -149,16 +149,19 @@ def _gaussian_ladder(atoms, k_max: int, x) -> list:
 
 
 def _exp_ladder(atoms, k_max: int, u) -> list:
-    """Orders 0..k_max of sum_j w_j exp(-t_j u): atom j contributes
-    w_j (-t_j)^k exp(-t_j u) to order k."""
+    """Orders 0..k_max of sum_j w_j exp(-t_j u): atom j adds w_j (-t_j)^k
+    exp(-t_j u) to order k, -t_j times its order k - 1 (no bare power)."""
     u = _argument(u)
     out = [0.0] * (k_max + 1)
     for t, w in atoms:
         core = np.exp(-t * u)
         if isinstance(u, float):
             core = float(core)
-        for k in range(k_max + 1):
-            out[k] += w * ((-t) ** k) * core
+        term = w * core
+        out[0] += term
+        for k in range(1, k_max + 1):
+            term = term * -t
+            out[k] += term
     return out
 
 

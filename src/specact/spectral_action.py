@@ -269,12 +269,12 @@ def taylor_term_bracket_form(
 def taylor_term_contour(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
     """Order-n term from the resolvent contour form.
 
-    (1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz, discretized by
-    the trapezoid rule on the ellipse CircleContour.enclosing sizes from
-    the spectrum and f, folded onto its upper half; f needs a complex
-    derivative and must be real on the reals (f(conj z) = conj f(z), as
-    every function built here is).  A contour whose work exceeds
-    CONTOUR_ENTRY_BUDGET is refused before any work.
+    (1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz by the trapezoid
+    rule, folded onto the upper half of the ellipse and at the point count
+    CircleContour.enclosing sizes from the spectrum, f and the rule's
+    rate; f needs a complex derivative and must be real on the reals
+    (f(conj z) = conj f(z), as every function built here is).  A contour
+    whose work exceeds CONTOUR_ENTRY_BUDGET is refused before any work.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")

@@ -164,8 +164,8 @@ class TestRecursive:
             assert abs(r - c) <= 1e-10 * max(abs(c), 1e-12)
 
     def test_narrow_span_reads_few_series_rows_and_no_table(self, mix, monkeypatch):
-        # a dense table would hold C(K + m - 1, m) keys per level; the
-        # triangle asks the series for at most its m(m - 1)/2 windows
+        # a dense table would hold C(K + m - 1, m) keys per level and the
+        # whole triangle m(m - 1)/2 windows; only the top window is filled
         import specact.divdiff as divdiff_module
 
         rows = []
@@ -178,13 +178,24 @@ class TestRecursive:
         def refuse(*args):
             raise AssertionError("dd_recursive built a MultisetDivDiff")
 
+        # ladder orders asked of f: 0 at the nodes and at least SERIES_LADDER
+        # at the series centres; with no confluent key, none to order m - 1
+        orders = []
+        logged = SmoothFunction(ladder_fn=lambda k, x: orders.append(k) or mix.ladder_fn(k, x))
         monkeypatch.setattr(divdiff_module, "_dd_series_rows", counted)
         monkeypatch.setattr(MultisetDivDiff, "__init__", refuse)
         for m in (2, 5, 11):
             nodes = np.linspace(-0.2, -0.2 + 0.9 * SERIES_SPAN, m)
             rows.clear()
-            dd_recursive(mix, nodes)
-            assert 1 <= sum(rows) <= m * (m - 1) // 2, m
+            orders.clear()
+            dd_recursive(logged, nodes)
+            assert rows == [1], m
+            assert all(k == 0 or k >= SERIES_LADDER for k in orders), orders
+            # one cluster is one ladder value, with no series row
+            rows.clear()
+            value = dd_recursive(mix, [0.3] * m)
+            assert value == pytest.approx(mix.deriv(m - 1, 0.3) / math.factorial(m - 1), rel=1e-15)
+            assert sum(rows) == 0, m
 
     def test_mean_value_bracketing(self, mix):
         # f[x0..xn] = f^(n)(xi)/n! for some xi inside the hull

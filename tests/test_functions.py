@@ -171,6 +171,13 @@ class TestBuiltins:
         assert g(2.0) == pytest.approx(math.exp(-1.4), rel=1e-15)
         assert g.deriv(3, 2.0) == pytest.approx((-0.7) ** 3 * math.exp(-1.4), rel=1e-14)
 
+    def test_exp_decay_high_order_scales_before_the_power(self):
+        # 4^600 overflows a float, but 4^600 e^{-400} = e^{600 ln 4 - 400}
+        # does not, and neither does the array ladder on the way there
+        ref = math.exp(600.0 * math.log(4.0) - 400.0)
+        assert exp_decay(4.0).deriv(600, 100.0) == pytest.approx(ref, rel=1e-12)
+        assert exp_decay(4.0).deriv(600, np.array([100.0]))[0] == pytest.approx(ref, rel=1e-12)
+
     def test_square_function(self):
         s = square_function()
         assert s(3.0) == 9.0

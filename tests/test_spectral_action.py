@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,10 +153,11 @@ class TestTaylorTerm:
         monkeypatch.setattr(CircleContour, "nodes", refuse)
         spec = linear_spectrum(64)
         a = np.eye(64)
-        # at t = 1e6 the ellipse needs 512 * 2032 points, and 64^2 entries
-        # each at order 1 already exceed the contour's budget
+        # at t = 1e6 the ellipse has semi-axes a = 32.5 and b = 0.001, so it
+        # takes ceil(64 / artanh(0.001 / 32.5)) = 2,080,000 points, and 64^2
+        # entries each at order 1 already exceed the contour's budget
         f = make_gaussian_mixture([(1e6, 1.0)])
-        assert CircleContour.enclosing(spec, f).points == 512 * 2032
+        assert CircleContour.enclosing(spec, f).points == 2_080_000
         with pytest.raises(BudgetExceededError):
             taylor_term_contour(1, spec, a, f)
         with pytest.raises(BudgetExceededError):
@@ -559,6 +561,48 @@ class TestCircleContour:
             assert np.array_equal(_resolvent_traces([n], a, spec.eigenvalues, z)[0],
                                   paired[n - 1])
 
+    def test_point_count_converged_at_its_rate(self, monkeypatch):
+        # _contour_orders at enclosing's P points and at 2P agree to
+        # DOUBLING_TOL of each order's mean |integrand| over the ellipse,
+        # read from the integrand the P-point rule folds; 32 in place of 64
+        # in the rule fails this
+        real_integral = CircleContour.real_integral
+        seen = []
+
+        def kept(contour, integrand):
+            def record(z):
+                g = integrand(z)
+                weighted = np.abs(g * contour._nodes_weights(len(z))[1])
+                seen.append(np.sum(weighted * contour._fold_weights(), axis=-1)
+                            / contour.points)
+                return g
+            return real_integral(contour, record)
+
+        worst = 0.0
+        for spec, a, f, orders in _doubling_cases():
+            contour = CircleContour.enclosing(spec, f)
+            with monkeypatch.context() as m:
+                m.setattr(CircleContour, "real_integral", kept)
+                at_p = np.array(_contour_orders(orders, spec, a, f))
+            scale = seen.pop() / np.array(orders)
+            with monkeypatch.context() as m:
+                m.setattr(CircleContour, "enclosing", classmethod(
+                    lambda cls, spec, f: replace(contour, points=2 * contour.points)))
+                at_2p = np.array(_contour_orders(orders, spec, a, f))
+            worst = max(worst, float(np.max(np.abs(at_p - at_2p) / scale)))
+        assert worst <= DOUBLING_TOL, worst
+
+    def test_steep_atom_at_high_order_matches_dd(self):
+        # on the N = 8 Dirac circle at t = 40 (a/b = 28.5) a 1024-point
+        # ellipse runs at P psi = 36 and is off from dd by 4e-11 and 1e-10
+        # at orders 6 and 7
+        spec = dirac_circle_spectrum(8)
+        a = random_hermitian(8, make_rng(8), norm=0.5)
+        f = make_gaussian_mixture([(40.0, 1.0)])
+        for n in (6, 7):
+            dd = taylor_term(n, spec, a, f)
+            assert abs(taylor_term_contour(n, spec, a, f) - dd) <= 1e-13 * abs(dd)
+
     def test_circle_has_equal_semi_axes(self):
         c = CircleContour(center=0.5, radius=2.0, points=8)
         assert c.imag_radius == 2.0
@@ -578,6 +622,33 @@ class TestCircleContour:
         for points in (1, 2.5, 256.5, True):
             with pytest.raises(ValueError):
                 CircleContour(center=0.0, radius=1.0, points=points)
+
+
+# a contour at twice its point count moves no order by more than this
+# fraction of the order's mean |integrand|
+DOUBLING_TOL = 1e-13
+
+
+def _doubling_cases():
+    """(spec, A, f, orders) for linear, random, Dirac, pairwise-repeated
+    and tight-cluster spectra at N = 1, 2, 8, 64, each under one-atom
+    Gaussians at t = 1e-4, 1, 40 and a two-atom mixture; orders 1-7, and
+    1-4 at N = 64."""
+    functions = [make_gaussian_mixture([(t, 1.0)]) for t in (1e-4, 1.0, 40.0)]
+    functions.append(make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)]))
+    for dim in (1, 2, 8, 64):
+        rng = make_rng(dim)
+        a = require_hermitian(random_hermitian(dim, rng, norm=0.5))
+        pairs = np.repeat(rng.uniform(-2.0, 2.0, (dim + 1) // 2), 2)[:dim]
+        # at even N the Dirac circle is the linear spectrum
+        spectra = (dirac_circle_spectrum(dim), random_spectrum(dim, 3.0, rng),
+                   Spectrum(np.sort(pairs)),
+                   Spectrum.from_values(0.3 + 1e-6 * rng.standard_normal(dim)))
+        spectra += (linear_spectrum(dim),) if dim % 2 else ()
+        orders = tuple(range(1, 5 if dim == 64 else 8))
+        for f in functions:
+            for spec in spectra:
+                yield spec, a, f, orders
 
 
 # the folded rule against the whole-ellipse trapezoid mean, and the copies
