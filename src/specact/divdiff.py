@@ -22,8 +22,10 @@ Independent evaluation routes implemented here:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -51,6 +53,8 @@ __all__ = [
 # the resolvent route fills its (points, N, N) work arrays this many points
 # at a time
 CONTOUR_BLOCK = 512
+# dd_contour's largest t radius^2: e^{t radius^2} eps = 1e-9
+CONTOUR_GROWTH = math.log(1e-9 / np.finfo(float).eps)
 
 
 def default_merge_tol(nodes) -> float:
@@ -150,8 +154,9 @@ def dd_recursive(f: SmoothFunction, nodes: NodeList | Sequence[float]) -> float:
     # nodes within SERIES_SPAN fill only the top window: one series row, or
     # one ladder value for one cluster, needing no window below it
     low = 2 if rep[-1] - rep[0] > SERIES_SPAN else max(len(ids), 2)
-    windows = [(np.lib.stride_tricks.sliding_window_view(ids, s), np.arange(len(ids) - s + 1),
-                np.arange(1, len(ids) - s + 2)) for s in range(low, len(ids) + 1)]
+    windows = [_level_of(np.lib.stride_tricks.sliding_window_view(ids, s),
+                         np.arange(len(ids) - s + 1), np.arange(1, len(ids) - s + 2))
+               for s in range(low, len(ids) + 1)]
     if windows:
         _fill_levels(f, rep, windows, values, {"series": 0, "newton": 0, "ladder": 0})
     return float(values[-1][0])
@@ -285,10 +290,14 @@ def dd_contour(
     is.  Repeated nodes raise the pole order, so confluent cases need no
     special handling.  Every node must lie strictly inside the circle; the
     error decays geometrically in ``points`` when f is analytic near it.
+    An atom e^{-t z^2} of f's measure, and the sum's rounding error with
+    it, grows to e^{t radius^2} on the circle: past CONTOUR_GROWTH, refused.
     """
     xs = np.asarray(as_nodes(nodes).nodes)
     circle = CircleContour(center, radius, points)
     circle.require_inside(xs)
+    if f.measure is not None and np.max(f.measure.ts) * radius**2 > CONTOUR_GROWTH:
+        raise ValueError(f"an atom grows past e^{CONTOUR_GROWTH:.1f} on radius {radius}")
     return float(circle.real_integral(
         lambda z: f.eval_complex(z) / np.prod(z[:, None] - xs[None, :], axis=1)))
 
@@ -383,9 +392,12 @@ class MultisetDivDiff:
     extension table ext[s][p, c]: the position in level s of multiset p
     of level s - 1 with cluster c added.  Every lookup chains ext over
     its ids in any order, so no key is ever sorted or searched for.
-    Asking for level s builds every missing level up to s in one pass:
-    first the keys, extension table, heads and tails of every new level,
-    each from the one below (they depend only on K), then their values
+    The keys, extension tables, heads and tails depend on K alone, so
+    every table over K clusters shares one read-only plan of them, and
+    one gather plan per slot count.  After a call the plan caches keep
+    at most 64 levels, each of C(K + s - 1, s) keys under 2s + 4 words a
+    key, and 64 gathers, each K^(slots - 1) positions, 1/K of its tensor.
+    Asking for level s fills every missing level up to s in one pass
     through _fill_levels.
 
     dd_recursive runs the same fill over the windows of its sorted nodes,
@@ -406,13 +418,9 @@ class MultisetDivDiff:
         self.cluster_of[order] = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
         self.rep = np.array([_representative(run) for run in runs])
         # level s at index s; a level-1 key's head and tail are the empty key
-        k = len(runs)
-        self._keys = [np.zeros((1, 0), dtype=int), np.arange(k)[:, None]]
-        self._ext = [None, np.arange(k)[None, :]]
-        self._heads = [None, np.zeros(k, dtype=int)]
-        self._tails = [None, np.zeros(k, dtype=int)]
+        self._levels = [None, _level_plan(len(runs), 1)]
         self._values = [None, np.asarray(fn(self.rep), dtype=float)]
-        self._counts = {"node": k, "ladder": 0, "series": 0, "newton": 0}
+        self._counts = {"node": len(runs), "ladder": 0, "series": 0, "newton": 0}
 
     @property
     def evaluations(self) -> dict[str, int]:
@@ -430,45 +438,17 @@ class MultisetDivDiff:
         values = self._level(len(idx))
         pos = 0
         for s, i in enumerate(idx, 1):
-            pos = self._ext[s][pos, self.cluster_of[i]]
+            pos = self._levels[s].ext[pos, self.cluster_of[i]]
         return float(values[pos])
 
     def _level(self, size: int) -> np.ndarray:
-        """Values of every size-``size`` multiset."""
+        """Values of every size-``size`` multiset; the missing levels up to
+        it are filled in one pass, their plans read from the cache."""
         if len(self._values) <= size:
-            self._build(size)
+            levels = [_level_plan(len(self.rep), s) for s in range(len(self._values), size + 1)]
+            self._levels += levels
+            _fill_levels(self.fn, self.rep, levels, self._values, self._counts)
         return self._values[size]
-
-    def _build(self, top: int) -> None:
-        """Build every level from the smallest missing one up to ``top``:
-        all keys, heads and tails, then their values in one fill."""
-        k = len(self.rep)
-        ids = np.arange(k)
-        levels = []
-        for s in range(len(self._values), top + 1):
-            # each key p of level s - 1 gains one last id >= its own last
-            # one, in ascending order from start[p]; p is their head
-            prev_keys = self._keys[s - 1]
-            last = prev_keys[:, -1]
-            grow = k - last
-            start = np.cumsum(grow) - grow
-            head = np.repeat(np.arange(len(prev_keys)), grow)
-            new = np.arange(len(head)) - start[head] + last[head]
-            keys = np.column_stack((prev_keys[head], new))
-            # p plus c < last(p) is the child with last id last(p) of q,
-            # head(p) plus c
-            q = self._ext[s - 1][self._heads[s - 1]]
-            last_col = last[:, None]
-            ext = np.where(ids >= last_col, start[:, None] + ids - last_col,
-                           start[q] + (last_col - last[q]))
-            # the smallest dtype that fits keeps the tables small beside a tensor
-            self._ext.append(ext.astype(np.min_scalar_type(len(keys))))
-            # the tail key[1:] is the previous tail plus the new last id
-            self._tails.append(self._ext[s - 1][self._tails[s - 1][head], new])
-            self._heads.append(head.astype(np.min_scalar_type(len(prev_keys))))
-            self._keys.append(keys)
-            levels.append((keys, self._heads[s], self._tails[s]))
-        _fill_levels(self.fn, self.rep, levels, self._values, self._counts)
 
     def tensor(self, slots: int) -> np.ndarray:
         """Dense array T[i_0...i_{slots-1}] of divided-difference values."""
@@ -480,34 +460,79 @@ class MultisetDivDiff:
         return self._gather(slots, doubled=True)
 
     def _gather(self, slots: int, doubled: bool) -> np.ndarray:
-        """Gather one level's values over the index grid.
-
-        The leading slots' positions grow one slot at a time from the empty
-        multiset, each step a gather of rows of ext[s][:, cluster_of].  The
-        last slot (twice when doubled) is folded into one row of values per
-        position, so the final gather writes the tensor directly and no
-        index array holds more than dim^(slots-1) entries.
-        """
+        """Gather one level's values over the index grid through the gather
+        plan of K clusters, read as it is when every value is its own
+        cluster in ascending order, else at each slot's cluster ids."""
         if slots < 1:
             raise ValueError(f"need at least one slot, got {slots}")
         values = self._level(slots + doubled)
+        pos, last = _gather_plan(len(self.rep), slots, doubled)
         ids = self.cluster_of
-        pos = 0
-        for s in range(1, slots):
-            pos = self._ext[s][:, ids][pos]
-        last = self._ext[slots][:, ids]
-        if doubled:
-            last = self._ext[slots + 1][last, ids]
+        if not np.array_equal(ids, np.arange(len(ids))):
+            pos, last = pos[np.ix_(*[ids] * (slots - 1))], last[:, ids]
         return values[last][pos]
 
 
-def _fill_levels(fn: SmoothFunction, rep: np.ndarray,
-                 levels: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+# sorted cluster-id keys, the positions of key[:-1] and key[1:] a level below, the
+# end ids, the keys one cluster s times and that cluster, and a table's extension table
+_Level = namedtuple("_Level", "keys head tail first last confluent cluster ext")
+
+
+def _level_of(keys: np.ndarray, head: np.ndarray, tail: np.ndarray, ext=None) -> _Level:
+    first, last = keys[:, 0], keys[:, -1]
+    confluent = first == last
+    return _Level(keys, head, tail, first, last, confluent, first[confluent], ext)
+
+
+@functools.lru_cache(maxsize=64)
+def _level_plan(k: int, s: int) -> _Level:
+    """Level s of every table over k clusters, read-only, grown from level s - 1."""
+    if s == 1:
+        ids, zeros = np.arange(k), np.zeros(k, dtype=np.intp)
+        level = _level_of(ids[:, None], zeros, zeros, ids[None, :])
+    else:
+        below = _level_plan(k, s - 1)
+        # each key p of level s - 1 gains one last id >= its own last one,
+        # in ascending order from start[p]; p is their head
+        last = below.last
+        grow = k - last
+        start = np.cumsum(grow) - grow
+        head = np.repeat(np.arange(len(last)), grow)
+        new = np.arange(len(head)) - start[head] + last[head]
+        # p plus c < last(p) is the child with last id last(p) of q, head(p) plus c
+        q = below.ext[below.head]
+        ids, last_col = np.arange(k), last[:, None]
+        ext = np.where(ids >= last_col, start[:, None] + ids - last_col,
+                       start[q] + (last_col - last[q]))
+        # the tail key[1:] is the previous tail plus the new last id
+        level = _level_of(np.column_stack((below.keys[head], new)), head,
+                          below.ext[below.tail[head], new], ext)
+    for array in level:
+        array.setflags(write=False)
+    return level
+
+
+@functools.lru_cache(maxsize=64)
+def _gather_plan(k: int, slots: int, doubled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only positions over the k-cluster grid: pos[c_0..c_{slots-2}] in level
+    slots - 1, grown a slot at a time, and last[p, c] in level slots + doubled of p
+    plus c (twice), which folds the last slot: no array but the tensor passes k^(slots-1)."""
+    pos = np.zeros((), dtype=np.intp)
+    for s in range(1, slots):
+        pos = _level_plan(k, s).ext[pos]
+    last = _level_plan(k, slots).ext
+    if doubled:
+        last = _level_plan(k, slots + 1).ext[last, np.arange(k)]
+    for array in (pos, last):
+        array.setflags(write=False)
+    return pos, last
+
+
+def _fill_levels(fn: SmoothFunction, rep: np.ndarray, levels: Sequence[_Level],
                  values: list[np.ndarray], counts: dict[str, int]) -> None:
     """Append to ``values`` the divided differences of each level of
-    sorted cluster-id keys, given in ascending size as (keys, head, tail):
-    a (count, s) key array and the positions of key[:-1] and key[1:] in
-    the level below, whose values are ``values[-1]`` on entry.
+    sorted cluster-id keys, given in ascending size; the values of the
+    level below the first are ``values[-1]`` on entry.
 
       * A confluent key (one cluster s times) is f^{(s-1)}(x)/(s-1)!, from
         one derivative ladder at the cluster nodes that serves every level.
@@ -520,34 +545,32 @@ def _fill_levels(fn: SmoothFunction, rep: np.ndarray,
     ``counts`` gains the keys each path evaluated.
     """
     steps, narrow_rows = [], []
-    for keys, _, _ in levels:
-        first, last = keys[:, 0], keys[:, -1]
-        confluent = first == last
-        wide = rep[last] - rep[first] > SERIES_SPAN
-        narrow = ~(wide | confluent)
-        steps.append((confluent, wide, narrow))
-        narrow_rows.append(rep[keys[narrow]])
+    for level in levels:
+        wide = rep[level.last] - rep[level.first] > SERIES_SPAN
+        narrow = ~(wide | level.confluent)
+        steps.append((wide, narrow))
+        narrow_rows.append(rep[level.keys[narrow]])
     series = _dd_series_rows(fn, narrow_rows)
-    if any(confluent.any() for confluent, _, _ in steps):
-        ladder = fn.deriv_ladder(levels[-1][0].shape[1] - 1, rep)
-    for (keys, head, tail), (confluent, wide, narrow), narrow_values in zip(levels, steps, series):
-        s = keys.shape[1]
-        level = np.empty(len(keys))
-        level[narrow] = narrow_values
+    if any(len(level.cluster) for level in levels):
+        ladder = fn.deriv_ladder(levels[-1].keys.shape[1] - 1, rep)
+    for level, (wide, narrow), narrow_values in zip(levels, steps, series):
+        s = level.keys.shape[1]
+        out = np.empty(len(level.keys))
+        out[narrow] = narrow_values
         counts["series"] += len(narrow_values)
-        lo, hi = rep[keys[wide, 0]], rep[keys[wide, -1]]
-        level[wide] = (values[-1][tail[wide]] - values[-1][head[wide]]) / (hi - lo)
+        lo, hi = rep[level.first[wide]], rep[level.last[wide]]
+        out[wide] = (values[-1][level.tail[wide]] - values[-1][level.head[wide]]) / (hi - lo)
         counts["newton"] += len(lo)
         inv_fact = 1.0
         for j in range(1, s):
             inv_fact /= j
-        cluster = keys[confluent, 0]
-        if len(cluster):
-            level[confluent] = ladder[s - 1][cluster] * inv_fact
-        counts["ladder"] += len(cluster)
-        values.append(level)
+        if len(level.cluster):
+            out[level.confluent] = ladder[s - 1][level.cluster] * inv_fact
+        counts["ladder"] += len(level.cluster)
+        values.append(out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _dd_series_rows(f: SmoothFunction, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Centred Taylor values of f[z_0, ..., z_n] for every row of every
     block at once, one value array per block; the rows of one block hold

@@ -22,7 +22,7 @@ from specact import (
     square_function,
     step_bitstrings,
 )
-from specact.divdiff import SERIES_LADDER, SERIES_SPAN, _dd_series_rows
+from specact.divdiff import SERIES_LADDER, SERIES_SPAN, _dd_series_rows, _gather_plan, _level_plan
 from specact.functions import SmoothFunction
 from specact.rng import make_rng
 
@@ -288,6 +288,18 @@ class TestContour:
         with pytest.raises(ValueError):
             dd_contour(mix, [0.0, 0.5], center=0.0, radius=float("nan"))
 
+    def test_circle_too_large_for_a_steep_atom_is_refused(self):
+        # e^{-40 x^2} reaches e^{40 r^2} on the circle: at r = 1.2 and 2 the
+        # sum returned -1.7e8 and 4.3e65, at r = 0.8 it was 5e-6 off
+        steep = make_gaussian_mixture([(40.0, 1.0)])
+        nodes = [0.1, 0.2, 0.3]
+        for radius in (0.5, 0.6):
+            val = dd_contour(steep, nodes, center=0.2, radius=radius, points=256)
+            assert val == pytest.approx(14.6925366247, abs=1e-10)
+        for radius in (0.8, 1.2, 2.0):
+            with pytest.raises(ValueError, match="past e"):
+                dd_contour(steep, nodes, center=0.2, radius=radius, points=256)
+
     def test_geometric_convergence(self, mix):
         nodes = [-0.8, 0.1, 0.5, 1.2]
         ref = dd_recursive(mix, nodes)
@@ -514,18 +526,19 @@ class TestMultisetDivDiff:
     def structure_faults(table, top):
         """Every level-s key whose extension, head or tail entry names the
         wrong key of its neighbouring level, for s = 1..top."""
-        keys = [[tuple(int(c) for c in key) for key in level] for level in table._keys]
+        keys = [[()]] + [[tuple(int(c) for c in key) for key in level.keys]
+                         for level in table._levels[1:]]
         faults = []
         for s in range(1, top + 1):
-            ext = table._ext[s]
+            ext, heads, tails = table._levels[s].ext, table._levels[s].head, table._levels[s].tail
             for p, key in enumerate(keys[s - 1]):
                 for c in range(len(table.rep)):
                     if keys[s][ext[p, c]] != tuple(sorted(key + (c,))):
                         faults.append(("ext", s, p, c))
             for j, key in enumerate(keys[s]):
-                if keys[s - 1][table._heads[s][j]] != key[:-1]:
+                if keys[s - 1][heads[j]] != key[:-1]:
                     faults.append(("head", s, j))
-                if keys[s - 1][table._tails[s][j]] != key[1:]:
+                if keys[s - 1][tails[j]] != key[1:]:
                     faults.append(("tail", s, j))
         return faults
 
@@ -535,16 +548,50 @@ class TestMultisetDivDiff:
         table._level(5)
         k = len(table.rep)
         for s in range(1, 6):
-            assert [tuple(key) for key in table._keys[s]] == list(
+            assert [tuple(key) for key in table._levels[s].keys] == list(
                 combinations_with_replacement(range(k), s))
         assert self.structure_faults(table, 5) == []
-        # one entry off by one is caught
-        table._ext[3][1, 0] += 1
+        # one entry off by one, in the table's own copy of the shared plan, is caught
+        table._levels[3] = table._levels[3]._replace(ext=table._levels[3].ext.copy())
+        table._levels[3].ext[1, 0] += 1
         assert ("ext", 3, 1, 0) in self.structure_faults(table, 5)
+
+    def test_tables_over_one_cluster_count_share_a_read_only_plan(self, mix):
+        a = MultisetDivDiff(mix, np.array([-0.4, 0.8, 1.6]))
+        b = MultisetDivDiff(exp_decay(1.3), np.array([2.0, -1.0, 2.0 + 1e-12, 0.5]))
+        a.tensor(4)
+        b.doubled_tensor(3)
+        for s in range(1, 5):
+            for shared, other in zip(a._levels[s], b._levels[s]):
+                assert shared is other, s
+                with pytest.raises(ValueError, match="read-only"):
+                    shared[0] = 1
+        pos, last = _gather_plan(3, 4, False)
+        assert _gather_plan(3, 4, False)[0] is pos
+        for array in (pos, last):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_plans_serve_cluster_counts_in_any_order(self, mix):
+        # K = 3, 5 and 3 again, sorted and not; then +/- pairs collided by
+        # squaring and merged nodes, which read the plans at their cluster ids
+        _level_plan.cache_clear()
+        _gather_plan.cache_clear()
+        spectra = (np.array([-0.4, 0.8, 1.6]), self.SPECTRA["distinct"], np.array([1.1, -0.3, 0.2]),
+                   self.SPECTRA["dirac-squares"], self.SPECTRA["merged"])
+        for values in spectra:
+            table = MultisetDivDiff(mix, values)
+            for slots in range(1, 4):
+                assert np.array_equal(table.tensor(slots), self.looped(table, slots))
+                assert np.array_equal(table.doubled_tensor(slots),
+                                      self.looped(table, slots, doubled=True))
 
     def test_tensor_memory_stays_near_its_size(self):
         # N = 25, order 5: 9.8e6 entries, the tuple budget's edge; an index
-        # array over the whole grid would add most of another tensor
+        # array over the whole grid would add most of another tensor.  The
+        # plans start cold, so the gather plan is built inside the window.
+        _level_plan.cache_clear()
+        _gather_plan.cache_clear()
         fn = make_gaussian_mixture([(1.0, 1.0)]).derivative()
         table = MultisetDivDiff(fn, make_rng(5).uniform(-2, 2, 25))
         table._level(5)
@@ -647,20 +694,23 @@ class TestMultisetDivDiff:
         for size in range(2, 6):
             one_by_one._level(size)
         for size in range(1, 6):
-            for attr in ("_keys", "_ext", "_heads", "_tails", "_values"):
-                assert np.array_equal(getattr(at_once, attr)[size], getattr(one_by_one, attr)[size])
+            for x, y in zip(at_once._levels[size], one_by_one._levels[size]):
+                assert np.array_equal(x, y)
+            assert np.array_equal(at_once._values[size], one_by_one._values[size])
         assert at_once.evaluations == one_by_one.evaluations
 
-    def test_series_overflow_raises_in_both_evaluators(self):
+    @pytest.mark.parametrize("x0", [3.5, 3.9])
+    def test_series_overflow_raises_in_both_evaluators(self, x0):
         # e^{-40 x^2} near x = 4: the Hermite ladder overflows at order 124
-        # while the Gaussian factor is ~1e-280, so a series term is not finite
+        # while the Gaussian factor is ~1e-280, so a series term is not
+        # finite; the overflow itself warns nothing, as Tier-1 turns a
+        # RuntimeWarning into an error
         steep = make_gaussian_mixture([(40.0, 1.0)])
-        nodes = [3.9, 3.9, 4.2]
-        with np.errstate(all="ignore"):
-            with pytest.raises(RuntimeError, match="did not converge"):
-                dd_recursive(steep, nodes)
-            with pytest.raises(RuntimeError, match="did not converge"):
-                MultisetDivDiff(steep, np.array(nodes)).tensor(3)
+        nodes = [x0, x0, x0 + 0.3]
+        with pytest.raises(RuntimeError, match="did not converge"):
+            dd_recursive(steep, nodes)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            MultisetDivDiff(steep, np.array(nodes)).tensor(3)
 
     @pytest.mark.parametrize("fname", sorted(FUNCTIONS))
     @pytest.mark.parametrize("name", sorted(SPECTRA))
