@@ -28,6 +28,7 @@ import numpy as np
 from .operator_model import (
     Spectrum,
     _cyclic_heat_traces,
+    _diag_plus,
     _mc_mean,
     _require_finite_positive,
     _square_complex,
@@ -132,18 +133,16 @@ def holder_estimate_check(
     k = sum(alphas)
 
     pert = require_hermitian(mats[0] if perturbation is None else perturbation, spec.dim)
-    mu, u = np.linalg.eigh(np.diag(spec.eigenvalues) + pert)
-    lam = spec.eigenvalues
+    mu, u = np.linalg.eigh(_diag_plus(spec.eigenvalues, (1.0, pert)))
 
     # slot 0 factorizes as (A_0 U |mu|^{alpha_0}) e^{-s_0 t mu^2} (U*);
-    # fold the trailing U* into the next slot's left matrix.
-    gs = [mats[0] @ u * (np.abs(mu) ** alphas[0])[None, :]]
-    ws = [t * mu * mu]
-    carry = u.conj().T
-    for j in range(1, n + 1):
-        gs.append(carry @ mats[j] * (np.abs(lam) ** alphas[j])[None, :])
-        ws.append(t * lam * lam)
-        carry = np.eye(spec.dim, dtype=complex)
+    # the trailing U* multiplies the next slot's matrix from the left
+    # (cyclically: slot 0's own when n = 0)
+    lefts = [mats[0] @ u, *mats[1:]]
+    lefts[1 % (n + 1)] = u.conj().T @ lefts[1 % (n + 1)]
+    nodes = [mu, *[spec.eigenvalues] * n]
+    gs = [m * (np.abs(w) ** x)[None, :] for m, w, x in zip(lefts, nodes, alphas)]
+    ws = [t * w * w for w in nodes]
 
     rng = make_rng(seed)
     s = simplex_uniform(rng, n, samples)
@@ -174,7 +173,7 @@ def getzler_szenes_check(spec: Spectrum, v, t: float, eps: float) -> BoundReport
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     mat = require_hermitian(v, spec.dim)
     lhs = _trace_of(lambda mu: np.exp(-(1.0 - eps / 2.0) * t * mu * mu),
-                    np.diag(spec.eigenvalues) + mat)
+                    _diag_plus(spec.eigenvalues, (1.0, mat)))
     vnorm = operator_norm(mat)
     rhs = math.exp((1.0 + 2.0 / eps) * t * vnorm * vnorm) * heat_trace(spec, (1.0 - eps) * t)
     return BoundReport(lhs=lhs, rhs=rhs)

@@ -50,9 +50,9 @@ __all__ = [
 ]
 
 
-# the resolvent route fills its (points, N, N) work arrays this many points
-# at a time
-CONTOUR_BLOCK = 512
+# entries (1 MiB of complex128, at least one point) per (points, N, N) work
+# array of the resolvent route: an N = 8 contour of up to 1,024 points is one block
+CONTOUR_BLOCK = 2**16
 # dd_contour's largest t radius^2: e^{t radius^2} eps = 1e-9
 CONTOUR_GROWTH = math.log(1e-9 / np.finfo(float).eps)
 

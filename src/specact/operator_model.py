@@ -131,10 +131,23 @@ def require_hermitian(a, dim: int | None = None) -> np.ndarray:
     """Validated Hermitian complex128 matrix, of size ``dim`` if given."""
     m = _square_complex(a, dim)
     scale = max(1.0, float(np.max(np.abs(m))))
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    diff = m.conj().T  # the one complex temporary
+    diff -= m
+    dev = float(np.max(np.abs(diff)))
     if dev > _HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max |A - A*| = {dev:g}")
     return m
+
+
+def _diag_plus(lam: np.ndarray, *terms: tuple[float, np.ndarray]) -> np.ndarray:
+    """diag(lam) + sum_k c_k M_k for terms (c_k, M_k) in one new array, rounded as
+    np.diag(lam) + c_0 M_0 + ... is; the indexed diagonal writes through for any layout."""
+    (c0, m0), *rest = terms
+    h = c0 * m0
+    h[np.diag_indices_from(h)] += lam
+    for c, m in rest:
+        h += c * m
+    return h
 
 
 def _trace_of(f, h) -> float:
@@ -252,8 +265,9 @@ def bracket_dd(ops: Sequence, spec: Spectrum, t: float) -> complex:
     return _bracket(*_bracket_setup(ops, spec, t))
 
 
-# sample rows per batched matrix product in _cyclic_heat_traces
-_HEAT_TRACE_CHUNK = 65536
+# entries (1 MiB of complex128) per (rows, N, N) batch in _cyclic_heat_traces,
+# at least one row
+_HEAT_TRACE_CHUNK = 2**16
 
 
 def _cyclic_heat_traces(
@@ -262,8 +276,9 @@ def _cyclic_heat_traces(
     """tr( G_0 diag(e^{-s_0 w_0}) G_1 diag(e^{-s_1 w_1}) ... ) per sample row."""
     k = len(gs)
     out = np.empty(s_batch.shape[0], dtype=complex)
-    for lo in range(0, s_batch.shape[0], _HEAT_TRACE_CHUNK):
-        s = s_batch[lo : lo + _HEAT_TRACE_CHUNK]
+    rows = max(1, _HEAT_TRACE_CHUNK // gs[0].shape[0] ** 2)
+    for lo in range(0, s_batch.shape[0], rows):
+        s = s_batch[lo : lo + rows]
         prod = gs[0][None, :, :] * np.exp(-np.outer(s[:, 0], ws[0]))[:, None, :]
         for j in range(1, k):
             factor = gs[j][None, :, :] * np.exp(-np.outer(s[:, j], ws[j]))[:, None, :]
@@ -357,29 +372,24 @@ def bracket_identity_check(ops: Sequence, spec: Spectrum, t: float) -> BracketId
         _unit_bracket(mats[r:] + mats[:r], weight) for r in range(n + 1))
     ins = _rel(abs(t * base - inserted), max(abs(t * base), abs(inserted), 1e-15))
 
-    terms = []
-    for i in range(n + 1):
-        bumped = list(mats)
-        bumped[i] = commutator_with_d(spec, mats[i])
-        terms.append(_bracket(bumped, table))
+    def replaced(i: int, op) -> complex:
+        """The bracket with A_i replaced by op(spec, A_i)."""
+        return _bracket(mats[:i] + [op(spec, mats[i])] + mats[i + 1 :], table)
+
+    terms = [replaced(i, commutator_with_d) for i in range(n + 1)]
     comm_scale = max(max((abs(v) for v in terms), default=0.0), scale)
     comm = _rel(abs(sum(terms)), comm_scale)
 
     red = 0.0
     if n >= 1:
+        # merged[j]: the bracket with slots j and j + 1 (cyclically) multiplied,
+        # the right neighbour merge of slot j and the left one of slot j + 1
+        merged = [_bracket(mats[:j] + [mats[j] @ mats[j + 1]] + mats[j + 2 :], table)
+                  for j in range(n)]
+        merged.append(_bracket([mats[n] @ mats[0]] + mats[1:n], table))
         for i in range(n + 1):
-            bumped = list(mats)
-            bumped[i] = commutator_with_d2(spec, mats[i])
-            lhs = _bracket(bumped, table)
-            if i >= 1:
-                left = mats[: i - 1] + [mats[i - 1] @ mats[i]] + mats[i + 1 :]
-            else:
-                left = [mats[n] @ mats[0]] + mats[1:n]
-            if i <= n - 1:
-                right = mats[:i] + [mats[i] @ mats[i + 1]] + mats[i + 2 :]
-            else:
-                right = [mats[n] @ mats[0]] + mats[1:n]
-            rhs = _bracket(left, table) - _bracket(right, table)
+            lhs = replaced(i, commutator_with_d2)
+            rhs = merged[i - 1] - merged[i]
             red = max(red, _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs), scale)))
 
     return BracketIdentityReport(
@@ -402,21 +412,20 @@ def duhamel_residual(spec: Spectrum, a, t: float, quad_points: int = 64) -> floa
         raise ValueError(f"need at least one quadrature point, got {quad_points}")
     mat = require_hermitian(a, spec.dim)
     lam = spec.eigenvalues
-    d = np.diag(lam).astype(complex)
-    pa = d @ mat + mat @ d + mat @ mat
-    mu, u = np.linalg.eigh(d + mat)
-    heat_a = _heat_semigroup(u, mu, t)
-    heat_d = np.diag(np.exp(-t * lam * lam)).astype(complex)
+    pa = anticommutator_with_d(spec, mat) + mat @ mat
+    mu, u = np.linalg.eigh(_diag_plus(lam, (1.0, mat)))
 
     x, w = np.polynomial.legendre.leggauss(quad_points)
     s_nodes = 0.5 * (x + 1.0)
     s_weights = 0.5 * w
-    integral = np.zeros_like(mat)
-    for s, wt in zip(s_nodes, s_weights):
-        left = _heat_semigroup(u, mu, s * t)
-        right = np.exp(-(1.0 - s) * t * lam * lam)
-        integral += wt * (left @ pa * right[None, :])
-    return float(np.max(np.abs(heat_a - heat_d + t * integral)))
+    # the integral is U (K o U* P(A)), K_ij = sum_s w_s e^{-s t mu_i^2 - (1-s) t lam_j^2}
+    left = s_weights[:, None] * np.exp(-t * np.outer(s_nodes, mu * mu))
+    right = np.exp(-t * np.outer(1.0 - s_nodes, lam * lam))
+    integral = u @ ((left.T @ right) * (u.conj().T @ pa))
+    resid = _heat_semigroup(u, mu, t)
+    resid[np.diag_indices_from(resid)] -= np.exp(-t * lam * lam)
+    resid += t * integral
+    return float(np.max(np.abs(resid)))
 
 
 def linear_spectrum(dim: int) -> Spectrum:
@@ -452,20 +461,23 @@ def random_spectrum(dim: int, lam_max: float, rng: np.random.Generator) -> Spect
 
 
 def _rescaled(h: np.ndarray, norm: float | None, degenerate: str) -> np.ndarray:
-    """h rescaled to operator norm ``norm``, or h itself when norm is None."""
+    """h rescaled in place to operator norm ``norm``; h as it is when norm is None."""
     if norm is None:
         return h
     _require_finite_positive("norm target", norm)
     current = operator_norm(h)
     if current == 0.0:
         raise ValueError(f"{degenerate}, cannot rescale")
-    return h * (norm / current)
+    return np.multiply(h, norm / current, out=h)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, norm: float | None = None) -> np.ndarray:
-    """Dense Hermitian matrix, optionally rescaled to a target operator norm."""
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = 0.5 * (x + x.conj().T)
+    """Dense Hermitian matrix 0.5 (X + X*) with X = G_1 + i G_2 for two standard
+    normal draws, built in place and optionally rescaled to a target operator norm."""
+    h, g = np.empty((dim, dim), dtype=complex), np.empty((dim, dim))
+    for part, combine in ((h.real, np.add), (h.imag, np.subtract)):
+        combine(rng.standard_normal(out=g), g.T, out=part)
+    h *= 0.5
     return _rescaled(h, norm, "degenerate random draw")
 
 
@@ -479,8 +491,7 @@ def band_hermitian(
     if bandwidth < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
     h = random_hermitian(dim, rng)
-    i, j = np.indices((dim, dim))
-    h[np.abs(i - j) > bandwidth] = 0.0
+    h[np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) > bandwidth] = 0.0
     return _rescaled(h, norm, "band matrix vanished")
 
 

@@ -44,6 +44,7 @@ from .operator_model import (
     Spectrum,
     _check_budget,
     _cyclic_contract,
+    _diag_plus,
     _require_finite_positive,
     _square_complex,
     _trace_of,
@@ -77,7 +78,7 @@ CONTOUR_ENTRY_BUDGET = 10**9
 
 def action_exact(spec: Spectrum, a, f: SmoothFunction) -> float:
     """tr f(D + A) summed over the exact eigenvalues of the perturbed operator."""
-    return _trace_of(f, np.diag(spec.eigenvalues) + require_hermitian(a, spec.dim))
+    return _trace_of(f, _diag_plus(spec.eigenvalues, (1.0, require_hermitian(a, spec.dim))))
 
 
 def _unperturbed_trace(spec: Spectrum, f: SmoothFunction) -> float:
@@ -142,13 +143,15 @@ def _bracket_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
 def _resolvent_traces(orders: Sequence[int], mat: np.ndarray, lam: np.ndarray,
                       z: np.ndarray) -> np.ndarray:
     """tr M^n with M = A (z - D)^{-1}, one row per order and one column per
-    point, from running powers of M per block of points:
+    point, from running powers of M per block of CONTOUR_BLOCK entries (a
+    point's products are its own, so the block size moves no value):
     tr M^n = sum_ij (M^a)_ij (M^b)_ji with a = ceil(n/2) and b = floor(n/2),
     so the top order takes ceil(n/2) - 1 products and only M^a and M^(a-1)
     are held."""
     traces = np.empty((len(orders), z.size), dtype=complex)
-    for start in range(0, z.size, CONTOUR_BLOCK):
-        block = slice(start, start + CONTOUR_BLOCK)
+    step = max(1, CONTOUR_BLOCK // lam.size**2)
+    for start in range(0, z.size, step):
+        block = slice(start, start + step)
         resolvent = 1.0 / (z[block, None] - lam[None, :])
         m = mat[None, :, :] * resolvent[:, None, :]
         below, power, level = None, m, 1
@@ -189,7 +192,6 @@ def _fd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: Smooth
     is summed over the spectrum, which a solve of the diagonal D + 0 A
     returns unchanged."""
     _require_finite_positive(f"fd step (and its power {orders[-1]})", h, orders[-1])
-    d = np.diag(spec.eigenvalues)
     phi = {0.0: _unperturbed_trace(spec, f)}
 
     def diff(n: int, step: float) -> float:
@@ -198,7 +200,7 @@ def _fd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: Smooth
         for k in range(n + 1):
             u = (n / 2.0 - k) * step
             if u not in phi:
-                phi[u] = _trace_of(f, d + u * mat)
+                phi[u] = _trace_of(f, _diag_plus(spec.eigenvalues, (u, mat)))
             vals.append(phi[u])
         return float(np.dot(coeff, vals) / step**n)
 
@@ -330,10 +332,9 @@ def gateaux_fd_mixed(spec: Spectrum, a, b, f: SmoothFunction, h: float = 0.05) -
     _require_finite_positive("fd step (and its power 2)", h, 2)
     mat_a = require_hermitian(a, spec.dim)
     mat_b = require_hermitian(b, spec.dim)
-    d = np.diag(spec.eigenvalues)
 
     def phi(u: float, v: float) -> float:
-        return _trace_of(f, d + u * mat_a + v * mat_b)
+        return _trace_of(f, _diag_plus(spec.eigenvalues, (u, mat_a), (v, mat_b)))
 
     def cross(step: float) -> float:
         return (
@@ -434,13 +435,12 @@ def expand(
     contribs = [_unperturbed_trace(spec, f), *higher]
 
     # action_exact on the matrix validated above
-    d = np.diag(spec.eigenvalues)
-    exact = _trace_of(f, d + mat)
+    exact = _trace_of(f, _diag_plus(spec.eigenvalues, (1.0, mat)))
     scaled = []
     for eps in factors:
         partial = sum(c * eps**k for k, c in enumerate(contribs))
         # at scale 1 the exact action is the one already computed
-        exact_eps = exact if eps == 1.0 else _trace_of(f, d + eps * mat)
+        exact_eps = exact if eps == 1.0 else _trace_of(f, _diag_plus(spec.eigenvalues, (eps, mat)))
         scaled.append(abs(exact_eps - partial))
     exponent = None
     if all(r > 0.0 for r in scaled) and len(set(factors)) >= 2:

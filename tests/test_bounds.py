@@ -101,6 +101,18 @@ class TestHolderEstimate:
         assert r.lhs == pytest.approx(math.exp(-1.0 * (0.8 + 1.0) ** 2), rel=1e-12)
         assert r.passed
 
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_single_operator_is_the_trace(self, alpha):
+        # n = 0: lhs = |tr A |D_A|^alpha e^{-t D_A^2}| with U* folded onto
+        # slot 0 itself; dropping it read 0.142 against 0.116 at alpha = 1
+        spec = random_spectrum(4, 2.0, make_rng(1))
+        a = random_hermitian(4, make_rng(2), norm=1.0)
+        mu, u = np.linalg.eigh(np.diag(spec.eigenvalues) + a)
+        ref = abs(np.trace(a @ u @ np.diag(np.abs(mu) ** alpha * np.exp(-0.5 * mu * mu))
+                           @ u.conj().T))
+        r = holder_estimate_check(spec, [a], [alpha], t=0.5, eps=0.5, samples=10, seed=1)
+        assert r.lhs == pytest.approx(ref, rel=1e-12)
+
     def test_random_instances_pass(self, rng):
         for trial in range(10):
             dim = int(rng.integers(2, 6))

@@ -30,7 +30,7 @@ from specact import (
 )
 from specact.errors import BudgetExceededError
 from specact.functions import exp_decay
-from specact.operator_model import _cyclic_contract, _unit_bracket
+from specact.operator_model import _cyclic_contract, _cyclic_heat_traces, _unit_bracket
 from specact.rng import make_rng
 
 
@@ -183,6 +183,32 @@ class TestBracketDD:
         for t in (-1.0, math.inf):
             with pytest.raises(ValueError):
                 bracket_dd([herm4], spec4, t)
+
+    def test_mc_working_set_is_bounded_by_entries(self):
+        # a batch of 65,536 sample rows would hold about 200 MB here
+        spec = random_spectrum(8, 2.0, make_rng(3))
+        ops = [random_hermitian(8, make_rng(10 + j), norm=1.0) for j in range(3)]
+        tracemalloc.start()
+        try:
+            bracket_mc(ops, spec, 0.7, samples=100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("dim", [1, 4, 9])
+    def test_heat_traces_equal_in_one_batch_and_many(self, dim, monkeypatch):
+        import specact.operator_model as om_module
+
+        rng = make_rng(dim)
+        gs = [random_hermitian(dim, rng) + 1j * rng.standard_normal((dim, dim))
+              for _ in range(3)]
+        ws = [rng.uniform(0.0, 2.0, dim) for _ in range(3)]
+        s = rng.dirichlet(np.ones(3), size=50)
+        whole = _cyclic_heat_traces(gs, ws, s)
+        for rows in (1, 7):
+            monkeypatch.setattr(om_module, "_HEAT_TRACE_CHUNK", rows * dim * dim)
+            assert np.array_equal(_cyclic_heat_traces(gs, ws, s), whole)
 
     def test_degenerate_squares(self, herm4):
         # +/- pairs square to the same value; confluent path must hold
@@ -343,6 +369,24 @@ class TestDuhamel:
         with pytest.raises(ValueError):
             duhamel_residual(spec4, np.zeros((3, 3)), t=1.0)
 
+    @pytest.mark.parametrize("t", [0.3, 1.5])
+    def test_matches_dense_diagonal_matrices(self, t):
+        # the residual with D and e^{-t D^2} as full matrices and one product
+        # per node; vectors and one summed node kernel change only the rounding
+        spec = random_spectrum(7, 2.0, make_rng(7))
+        a = random_hermitian(7, make_rng(8), norm=0.5)
+        lam = spec.eigenvalues
+        d = np.diag(lam).astype(complex)
+        pa = d @ a + a @ d + a @ a
+        mu, u = np.linalg.eigh(d + a)
+        x, w = np.polynomial.legendre.leggauss(16)
+        integral = sum(0.5 * wt * ((u * np.exp(-s * t * mu * mu)) @ u.conj().T @ pa
+                                   @ np.diag(np.exp(-(1.0 - s) * t * lam * lam)))
+                       for s, wt in zip(0.5 * (x + 1.0), w))
+        heat_a = (u * np.exp(-t * mu * mu)) @ u.conj().T
+        ref = np.max(np.abs(heat_a - np.diag(np.exp(-t * lam * lam)) + t * integral))
+        assert abs(duhamel_residual(spec, a, t, quad_points=16) - ref) <= 1e-15
+
 
 class TestBuilders:
     def test_linear_spectrum_centered(self):
@@ -364,6 +408,20 @@ class TestBuilders:
         spec = random_spectrum(10, 1.5, rng)
         assert spec.dim == 10
         assert np.all(np.abs(spec.eigenvalues) <= 1.5)
+
+    @pytest.mark.parametrize("norm", [None, 0.1])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 8, 512])
+    def test_random_hermitian_is_the_symmetrised_draw(self, dim, seed, norm):
+        # bit for bit the out-of-place formula: the benchmark's inputs
+        h = random_hermitian(dim, make_rng(seed), norm=norm)
+        rng = make_rng(seed)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        ref = 0.5 * (x + x.conj().T)
+        if norm is not None:
+            ref = ref * (norm / np.linalg.norm(ref, 2))
+        assert h.flags.c_contiguous
+        assert h.tobytes() == ref.tobytes()
 
     def test_random_hermitian_norm(self, rng):
         h = random_hermitian(6, rng, norm=0.25)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -505,6 +506,61 @@ class TestMixedGateaux:
         mixed = gateaux_fd_mixed(spec4, herm4, herm4, mix)
         assert mixed == pytest.approx(2.0 * taylor_term(2, spec4, herm4, mix),
                                       abs=1e-5)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees numpy allocate during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    def test_fd_expand_holds_about_one_copy_of_a(self, mix):
+        # each eigen-solve's D + u A is one array; np.diag(lam) and u A
+        # beside the sum would hold 2.1x the bytes of A
+        spec = dirac_circle_spectrum(256)
+        a = random_hermitian(256, make_rng(1), norm=0.1)
+        peak = _traced_peak(lambda: expand(spec, a, mix, n_max=2, route="fd"))
+        assert peak <= 1.6 * a.nbytes
+
+    def test_contour_route_blocks_by_entries(self, mix):
+        # a block of 512 points would hold about 100 MB here
+        spec = linear_spectrum(64)
+        a = random_hermitian(64, make_rng(2), norm=0.3)
+        peak = _traced_peak(lambda: expand(spec, a, mix, n_max=4, route="contour"))
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("dim", [1, 5, 12])
+    def test_resolvent_traces_equal_in_one_block_and_many(self, dim, monkeypatch):
+        import specact.spectral_action as sa_module
+
+        rng = make_rng(dim)
+        spec = random_spectrum(dim, 3.0, rng)
+        a = random_hermitian(dim, rng, norm=0.5)
+        z = CircleContour.enclosing(spec, make_gaussian_mixture([(2.0, 1.0)])).nodes()
+        orders = list(range(1, 6))
+        whole = _resolvent_traces(orders, a, spec.eigenvalues, z)
+        for block in (1, 3 * dim * dim):
+            monkeypatch.setattr(sa_module, "CONTOUR_BLOCK", block)
+            assert np.array_equal(_resolvent_traces(orders, a, spec.eigenvalues, z), whole)
+
+    @pytest.mark.parametrize("layout", ["fortran", "adjoint"])
+    def test_values_do_not_depend_on_memory_layout(self, mix, layout):
+        # A* equals A bit for bit for a random_hermitian draw; a diagonal
+        # written through reshape(-1) lands in a copy for either layout
+        spec = random_spectrum(9, 2.0, make_rng(3))
+        a = random_hermitian(9, make_rng(4), norm=0.4)
+        b = random_hermitian(9, make_rng(5), norm=0.4)
+        other = np.asfortranarray(a) if layout == "fortran" else a.conj().T
+        assert not other.flags.c_contiguous
+        assert action_exact(spec, other, mix) == action_exact(spec, a, mix)
+        assert (expand(spec, other, mix, n_max=3, route="fd")
+                == expand(spec, a, mix, n_max=3, route="fd"))
+        assert gateaux_fd_mixed(spec, other, b, mix) == gateaux_fd_mixed(spec, a, b, mix)
 
 
 class TestCircleContour:
