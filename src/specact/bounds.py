@@ -124,6 +124,8 @@ def holder_estimate_check(
     if samples < 2:
         raise ValueError(f"need at least two samples, got {samples}")
     mats = [_square_complex(m, spec.dim) for m in ops]
+    if not mats:
+        raise ValueError("need at least one operator")
     n = len(mats) - 1
     if len(alphas) != n + 1:
         raise ValueError(f"need {n + 1} exponents, got {len(alphas)}")

@@ -1,5 +1,5 @@
 """Divided differences: confluent tables, integral and contour forms,
-and chain rules for composite functions.
+and the chain rule for f(x) = g(x^2).
 
 The recursive definition f[x_0,...,x_n] =
 (f[x_1,...,x_n] - f[x_0,...,x_{n-1}]) / (x_n - x_0) extends to repeated
@@ -15,7 +15,7 @@ Independent evaluation routes implemented here:
   * dd_contour     -- trapezoid discretization of the Cauchy formula
     (1/2 pi i) oint f(z) / prod_i (z - x_i) dz on a circle around the
     nodes (CircleContour, whose quadrature the resolvent route shares)
-  * dd_chain_square / dd_chain_generic -- composite-function chain rules
+  * dd_chain_square -- chain rule for f(x) = g(x^2),
     summing over index chains 0 = i_0 < ... < i_k = n
   * dd_derivative_sum -- sum_i f[x_0,..,x_i,x_i,..,x_n] = f'[x_0,..,x_n]
 """
@@ -27,7 +27,6 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "dd_hermite_mc",
     "dd_contour",
     "dd_chain_square",
-    "dd_chain_generic",
     "dd_derivative_sum",
     "step_bitstrings",
 ]
@@ -202,7 +200,7 @@ class CircleContour:
 
     center: float
     radius: float
-    points: int = 512
+    points: int
     imag_radius: float | None = None
 
     def __post_init__(self):
@@ -342,37 +340,6 @@ def dd_chain_square(g: SmoothFunction, nodes: NodeList | Sequence[float]) -> flo
                 weight *= xs[idx[j]] + xs[idx[j + 1]]
         squares = [xs[i] ** 2 for i in idx]
         total += weight * dd_recursive(g, NodeList(tuple(squares)))
-    return total
-
-
-def dd_chain_generic(
-    g: SmoothFunction,
-    phi: SmoothFunction,
-    nodes: NodeList | Sequence[float],
-) -> float:
-    """General composite chain rule (g o phi)[x_0, ..., x_n].
-
-    Sums over all chains 0 = i_0 < ... < i_k = n the outer difference
-    g[phi(x_{i_0}), ..., phi(x_{i_k})] times the product over consecutive
-    chain steps of phi[x_{i_j}, x_{i_j + 1}, ..., x_{i_{j+1}}], each inner
-    block taken over every original node between the chain points
-    inclusive.  For phi(x) = x^2 this reduces to dd_chain_square.
-    """
-    nl = as_nodes(nodes)
-    xs = nl.nodes
-    n = nl.order
-    if n == 0:
-        return float(g(float(phi(xs[0]))))
-    total = 0.0
-    for k in range(1, n + 1):
-        for mid in combinations(range(1, n), k - 1):
-            idx = (0, *mid, n)
-            factor = 1.0
-            for j in range(k):
-                block = xs[idx[j] : idx[j + 1] + 1]
-                factor *= dd_recursive(phi, NodeList(block))
-            outer_nodes = tuple(float(phi(xs[i])) for i in idx)
-            total += factor * dd_recursive(g, NodeList(outer_nodes))
     return total
 
 

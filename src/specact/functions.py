@@ -34,7 +34,6 @@ __all__ = [
     "exp_decay",
     "square_function",
     "polynomial_function",
-    "check_summability",
 ]
 
 
@@ -210,34 +209,3 @@ def polynomial_function(coeffs: Sequence[float]) -> SmoothFunction:
 
     return SmoothFunction(ladder_fn=ladder)
 
-
-def check_summability(
-    measure: DiscreteMeasure,
-    spectrum,
-    alpha: float,
-    beta: float,
-    eps: float,
-    include_shift: bool = False,
-) -> float:
-    """Weighted heat-tail sum controlling term-by-term integrability.
-
-    Returns sum_j |w_j| t_j^alpha sum_i |lam_i|^beta exp(-t_j eps lam_i^2),
-    optionally multiplied per atom by exp(beta t_j) when ``include_shift``
-    is set (the shifted reading; off by default).  Convention 0^0 = 1, so
-    beta = 0 counts every eigenvalue including zeros.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    if not alpha >= 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if not beta >= 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=float)
-    absl = np.abs(lam)
-    powers = np.ones_like(absl) if beta == 0.0 else absl**beta
-    total = 0.0
-    for t, w in measure:
-        tail = float(np.sum(powers * np.exp(-t * eps * lam * lam)))
-        shift = math.exp(beta * t) if include_shift else 1.0
-        total += abs(w) * (t**alpha) * tail * shift
-    return total

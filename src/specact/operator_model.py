@@ -41,9 +41,7 @@ __all__ = [
     "Spectrum",
     "BracketIdentityReport",
     "require_hermitian",
-    "eigen_decompose",
     "heat_trace",
-    "heat_kernel",
     "operator_norm",
     "commutator_with_d",
     "anticommutator_with_d",
@@ -99,9 +97,6 @@ class Spectrum:
     def squares(self) -> np.ndarray:
         return self.eigenvalues**2
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.eigenvalues).astype(complex)
-
 
 def _require_finite_positive(name: str, value: float, power: int = 1) -> None:
     """The one check on positive scalar inputs; an order-n fd stencil divides
@@ -155,13 +150,6 @@ def _trace_of(f, h) -> float:
     return float(np.sum(np.asarray(f(np.linalg.eigvalsh(h)), dtype=float)))
 
 
-def eigen_decompose(h) -> tuple[Spectrum, np.ndarray]:
-    """Spectrum and unitary U with h = U diag(lam) U* for Hermitian h."""
-    m = require_hermitian(h)
-    lam, u = np.linalg.eigh(m)
-    return Spectrum(lam), u
-
-
 def heat_trace(spec: Spectrum, t: float) -> float:
     """tr e^{-t D^2} = sum_i e^{-t lam_i^2}, t > 0."""
     _require_finite_positive("heat time", t)
@@ -171,12 +159,6 @@ def heat_trace(spec: Spectrum, t: float) -> float:
 def _heat_semigroup(u: np.ndarray, mu: np.ndarray, tau: float) -> np.ndarray:
     """U diag(e^{-tau mu^2}) U*, i.e. e^{-tau H^2} for H = U diag(mu) U*."""
     return (u * np.exp(-tau * mu * mu)[None, :]) @ u.conj().T
-
-
-def heat_kernel(h, t: float) -> np.ndarray:
-    """e^{-t H^2} for a Hermitian matrix H, via eigendecomposition."""
-    lam, u = np.linalg.eigh(require_hermitian(h))
-    return _heat_semigroup(u, lam, t)
 
 
 def operator_norm(a) -> float:

@@ -174,6 +174,21 @@ class TestHolderEstimate:
             holder_estimate_check(spec, [e01, np.eye(3)], [1, 0], t=1.0, eps=0.5,
                                   samples=10, seed=1)
 
+    @pytest.mark.parametrize("pert", [None, np.eye(4)])
+    def test_rejects_empty_operator_list(self, spec4, monkeypatch, pert):
+        solves = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        with pytest.raises(ValueError, match="need at least one operator"):
+            holder_estimate_check(spec4, [], [], t=1.0, eps=0.5, samples=10, seed=1,
+                                  perturbation=pert)
+        assert solves == []
+
 
 class TestGetzlerSzenes:
     def test_zero_perturbation_positive_margin(self, spec4):

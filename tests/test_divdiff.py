@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from specact import (
     MultisetDivDiff,
     NodeList,
-    dd_chain_generic,
     dd_chain_square,
     dd_contour,
     dd_derivative_sum,
@@ -363,28 +362,6 @@ class TestChainSquare:
         nodes = [0.7, -0.7, 0.2]
         direct = dd_recursive(mix, nodes)
         assert dd_chain_square(g, nodes) == pytest.approx(direct, rel=1e-11)
-
-
-class TestChainGeneric:
-    def test_identity_inner_reduces_to_outer(self, mix):
-        ident = polynomial_function([0.0, 1.0])
-        nodes = [0.3, 1.0, -0.5]
-        assert dd_chain_generic(mix, ident, nodes) == pytest.approx(
-            dd_recursive(mix, nodes), rel=1e-12)
-
-    def test_two_nodes_equals_chain_square(self):
-        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1))
-        nodes = [0.5, 1.5]
-        a = dd_chain_generic(f, square_function(), nodes)
-        b = dd_chain_square(f, nodes)
-        assert a == pytest.approx(b, rel=1e-13)
-
-    def test_five_random_nodes(self, mix):
-        rng = make_rng(5)
-        nodes = rng.uniform(-2, 2, size=5)
-        direct = dd_recursive(mix, nodes)
-        val = dd_chain_generic(mix.square_companion, square_function(), nodes)
-        assert abs(val - direct) <= 1e-9 * max(abs(direct), 1e-12)
 
 
 class TestDerivativeSum:

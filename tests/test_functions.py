@@ -6,8 +6,6 @@ import pytest
 from specact import (
     DiscreteMeasure,
     SmoothFunction,
-    Spectrum,
-    check_summability,
     exp_decay,
     make_gaussian_mixture,
     polynomial_function,
@@ -190,56 +188,3 @@ class TestBuiltins:
         assert p(2.0) == pytest.approx(-7.0)
         assert p.deriv(1, 2.0) == pytest.approx(-8.0)
         assert p.deriv(2, 0.0) == pytest.approx(-4.0)
-
-
-class TestSummability:
-    def test_single_atom_at_zero(self):
-        mu = DiscreteMeasure([(1.0, 1.0)])
-        spec = Spectrum(np.array([0.0]))
-        assert check_summability(mu, spec, alpha=1.0, beta=0.0, eps=0.5) == pytest.approx(1.0)
-
-    def test_symmetric_pair(self):
-        mu = DiscreteMeasure([(1.0, 1.0)])
-        spec = Spectrum(np.array([-1.0, 1.0]))
-        expected = 2.0 * math.exp(-0.5)
-        got = check_summability(mu, spec, alpha=0.0, beta=2.0, eps=0.5)
-        assert got == pytest.approx(expected, rel=1e-14)
-
-    def test_truncation_stabilizes(self):
-        # independently summed: sum_j |w_j| t_j^2 sum_i lam_i e^{-t_j lam_i^2 / 4}
-        mu = DiscreteMeasure([(1.0, 1.0), (2.0, 0.5)])
-        values = []
-        for size in (5, 10, 19, 20):
-            spec = Spectrum(np.arange(size) + 0.5)
-            values.append(check_summability(mu, spec, alpha=2.0, beta=1.0, eps=0.25))
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(4.1354368958, rel=1e-9)
-        assert abs(values[-1] - values[-2]) < 1e-4 * values[-1]
-
-    def test_monotone_in_truncation(self):
-        mu = DiscreteMeasure([(0.7, -1.0), (1.3, 2.0)])
-        prev = 0.0
-        for size in range(1, 12):
-            spec = Spectrum(np.linspace(-2, 2, size) if size > 1 else np.array([0.0]))
-            val = check_summability(mu, spec, alpha=1.0, beta=1.0, eps=0.3)
-            # |w_j| weights make every summand nonnegative
-            assert val >= 0.0
-        sizes = [Spectrum(np.arange(k) + 0.5) for k in (1, 3, 6, 9)]
-        vals = [check_summability(mu, s, alpha=1.0, beta=1.0, eps=0.3) for s in sizes]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_bad_eps(self):
-        mu = DiscreteMeasure([(1.0, 1.0)])
-        spec = Spectrum(np.array([0.0]))
-        with pytest.raises(ValueError):
-            check_summability(mu, spec, alpha=1.0, beta=0.0, eps=1.0)
-        with pytest.raises(ValueError):
-            check_summability(mu, spec, alpha=1.0, beta=0.0, eps=-0.1)
-
-    def test_shift_variant_larger(self):
-        mu = DiscreteMeasure([(1.0, 1.0)])
-        spec = Spectrum(np.array([-1.0, 0.5, 2.0]))
-        base = check_summability(mu, spec, alpha=1.0, beta=2.0, eps=0.5)
-        shifted = check_summability(mu, spec, alpha=1.0, beta=2.0, eps=0.5,
-                                    include_shift=True)
-        assert shifted > base

@@ -18,8 +18,6 @@ from specact import (
     dirac_circle_spectrum,
     dd_recursive,
     duhamel_residual,
-    eigen_decompose,
-    heat_kernel,
     heat_trace,
     linear_spectrum,
     one_form,
@@ -53,7 +51,6 @@ class TestSpectrum:
 
     def test_squares_and_diagonal(self, spec4):
         assert np.allclose(spec4.squares, spec4.eigenvalues**2)
-        assert np.allclose(np.diag(spec4.diagonal()), spec4.eigenvalues)
         assert spec4.dim == 4
 
     def test_immutable(self, spec4):
@@ -75,35 +72,12 @@ class TestHermitianHelpers:
     def test_operator_norm_diag(self):
         assert operator_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0)
 
-    def test_eigen_decompose_diagonal(self):
-        spec, u = eigen_decompose(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(spec.eigenvalues, [1.0, 2.0, 3.0])
-        # columns diagonalize back
-        h = u @ np.diag(spec.eigenvalues) @ u.conj().T
-        assert np.allclose(h, np.diag([3.0, 1.0, 2.0]))
-
-    def test_eigen_decompose_flip(self):
-        spec, u = eigen_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
-        residual = u @ np.diag(spec.eigenvalues) @ u.conj().T
-        assert np.allclose(residual, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
-
 
 class TestHeat:
     def test_heat_trace_matches_sum(self, spec4):
         t = 0.7
         assert heat_trace(spec4, t) == pytest.approx(
             float(np.sum(np.exp(-t * spec4.squares))), rel=1e-15)
-
-    def test_heat_kernel_eigs_in_unit_interval(self, herm4):
-        k = heat_kernel(herm4, 0.9)
-        eigs = np.linalg.eigvalsh(k)
-        assert np.all(eigs > 0.0)
-        assert np.all(eigs <= 1.0 + 1e-12)
-
-    def test_heat_kernel_diagonal_case(self, spec4):
-        k = heat_kernel(spec4.diagonal(), 0.5)
-        assert np.allclose(np.diag(k), np.exp(-0.5 * spec4.squares))
 
     def test_heat_trace_rejects_nonpositive_t(self, spec4):
         # an infinite time is no heat time either

@@ -667,11 +667,11 @@ class TestCircleContour:
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            CircleContour(center=0.0, radius=0.0)
+            CircleContour(center=0.0, radius=0.0, points=8)
 
     def test_rejects_bad_imag_radius(self):
         with pytest.raises(ValueError):
-            CircleContour(center=0.0, radius=1.0, imag_radius=0.0)
+            CircleContour(center=0.0, radius=1.0, points=8, imag_radius=0.0)
 
     def test_rejects_too_few_points(self):
         # a fractional count spaces the angles unevenly; a bool is no count
