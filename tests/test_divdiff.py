@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -362,6 +362,49 @@ class TestChainSquare:
         nodes = [0.7, -0.7, 0.2]
         direct = dd_recursive(mix, nodes)
         assert dd_chain_square(g, nodes) == pytest.approx(direct, rel=1e-11)
+
+
+def _chain_generic(g: SmoothFunction, phi: SmoothFunction, nodes) -> float:
+    """(g o phi)[x_0, ..., x_n] by the general chain rule, an oracle for
+    dd_chain_square: the sum over chains 0 = i_0 < ... < i_k = n of
+    g[phi(x_{i_0}), ..., phi(x_{i_k})] times the product over the chain's
+    steps of phi[x_{i_j}, ..., x_{i_{j+1}}], every inner block taken by
+    dd_recursive where dd_chain_square uses phi = x^2's closed form."""
+    xs = [float(x) for x in nodes]
+    n = len(xs) - 1
+    if n == 0:
+        return float(g(float(phi(xs[0]))))
+    total = 0.0
+    for k in range(1, n + 1):
+        for mid in combinations(range(1, n), k - 1):
+            idx = (0, *mid, n)
+            factor = math.prod(dd_recursive(phi, xs[idx[j]:idx[j + 1] + 1]) for j in range(k))
+            total += factor * dd_recursive(g, [float(phi(xs[i])) for i in idx])
+    return total
+
+
+class TestChainGeneric:
+    def test_identity_inner_reduces_to_outer(self, mix):
+        ident = polynomial_function([0.0, 1.0])
+        nodes = [0.3, 1.0, -0.5]
+        assert _chain_generic(mix, ident, nodes) == pytest.approx(
+            dd_recursive(mix, nodes), rel=1e-12)
+
+    def test_two_nodes_equals_chain_square(self):
+        f = SmoothFunction(ladder_fn=lambda k, x: [np.exp(x)] * (k + 1))
+        nodes = [0.5, 1.5]
+        a = _chain_generic(f, square_function(), nodes)
+        b = dd_chain_square(f, nodes)
+        assert a == pytest.approx(b, rel=1e-13)
+
+    def test_five_random_nodes(self, mix):
+        rng = make_rng(5)
+        nodes = rng.uniform(-2, 2, size=5)
+        direct = dd_recursive(mix, nodes)
+        val = _chain_generic(mix.square_companion, square_function(), nodes)
+        assert abs(val - direct) <= 1e-9 * max(abs(direct), 1e-12)
+        chained = dd_chain_square(mix.square_companion, nodes)
+        assert chained == pytest.approx(val, rel=1e-11)
 
 
 class TestDerivativeSum:

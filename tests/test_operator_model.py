@@ -28,7 +28,14 @@ from specact import (
 )
 from specact.errors import BudgetExceededError
 from specact.functions import exp_decay
-from specact.operator_model import _cyclic_contract, _cyclic_heat_traces, _unit_bracket
+from specact.operator_model import (
+    _cyclic_contract,
+    _cyclic_heat_traces,
+    _diag_plus,
+    _heat_semigroup,
+    _trace_of,
+    _unit_bracket,
+)
 from specact.rng import make_rng
 
 
@@ -72,12 +79,69 @@ class TestHermitianHelpers:
     def test_operator_norm_diag(self):
         assert operator_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0)
 
+    def test_trace_of_diagonal(self):
+        assert _trace_of(lambda mu: mu**3, np.diag([3.0, 1.0, 2.0])) == pytest.approx(36.0)
+
+    def test_trace_of_flip(self):
+        # eigenvalues -1 and 1: tr e^H = 2 cosh 1
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert _trace_of(np.exp, flip) == pytest.approx(2.0 * math.cosh(1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "adjoint"])
+    def test_diag_plus_rounds_as_the_dense_sum(self, spec4, herm4, layout):
+        b = random_hermitian(4, make_rng(3), norm=2.0)
+        m0 = {"C": herm4, "F": np.asfortranarray(herm4), "adjoint": herm4.conj().T}[layout]
+        lam = spec4.eigenvalues
+        h = _diag_plus(lam, (0.3, m0), (-1.7, b))
+        assert np.array_equal(h, np.diag(lam) + 0.3 * m0 + -1.7 * b)
+        # the inputs are left as they were
+        assert np.array_equal(m0, herm4 if layout != "adjoint" else herm4.conj().T)
+
 
 class TestHeat:
     def test_heat_trace_matches_sum(self, spec4):
         t = 0.7
         assert heat_trace(spec4, t) == pytest.approx(
             float(np.sum(np.exp(-t * spec4.squares))), rel=1e-15)
+
+    def test_heat_kernel_eigs_in_unit_interval(self, herm4):
+        mu, u = np.linalg.eigh(herm4)
+        k = _heat_semigroup(u, mu, 0.9)
+        eigs = np.linalg.eigvalsh(k)
+        assert np.all(eigs > 0.0)
+        assert np.all(eigs <= 1.0 + 1e-12)
+
+    def test_heat_kernel_diagonal_case(self, spec4):
+        k = _heat_semigroup(np.eye(4), spec4.eigenvalues, 0.5)
+        assert np.allclose(np.diag(k), np.exp(-0.5 * spec4.squares))
+        assert np.array_equal(k, np.diag(np.diag(k)))
+
+    def test_heat_kernel_is_a_semigroup(self, herm4):
+        mu, u = np.linalg.eigh(herm4)
+        assert np.allclose(_heat_semigroup(u, mu, 0.0), np.eye(4), atol=1e-14)
+        composed = _heat_semigroup(u, mu, 0.4) @ _heat_semigroup(u, mu, 0.7)
+        assert np.allclose(composed, _heat_semigroup(u, mu, 1.1), atol=1e-14)
+
+    def test_heat_trace_is_the_trace_of_the_kernel(self, spec4, herm4):
+        # on a rotated copy U D U* of D the kernel, its trace and heat_trace agree
+        _, u = np.linalg.eigh(herm4)
+        lam = spec4.eigenvalues
+        rotated = (u * lam) @ u.conj().T
+        t = 0.8
+        want = heat_trace(spec4, t)
+        assert np.trace(_heat_semigroup(u, lam, t)).real == pytest.approx(want, rel=1e-14)
+        assert _trace_of(lambda mu: np.exp(-t * mu * mu), rotated) == pytest.approx(
+            want, rel=1e-14)
+
+    def test_heat_trace_converges_over_truncations(self):
+        # sum over the integers of e^{-t k^2} = sqrt(pi/t) sum_m e^{-pi^2 m^2/t}
+        # (Poisson summation); odd truncations of linear_spectrum are integers
+        t = 0.5
+        limit = math.sqrt(math.pi / t) * (1.0 + 2.0 * sum(
+            math.exp(-(math.pi * m) ** 2 / t) for m in range(1, 4)))
+        traces = [heat_trace(linear_spectrum(dim), t) for dim in (1, 3, 5, 9, 15)]
+        assert all(b > a for a, b in zip(traces, traces[1:]))
+        assert traces[-1] == pytest.approx(limit, rel=1e-13)
 
     def test_heat_trace_rejects_nonpositive_t(self, spec4):
         # an infinite time is no heat time either

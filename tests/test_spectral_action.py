@@ -673,6 +673,11 @@ class TestCircleContour:
         with pytest.raises(ValueError):
             CircleContour(center=0.0, radius=1.0, points=8, imag_radius=0.0)
 
+    def test_points_has_no_default(self):
+        # every caller sizes the rule for its own nodes
+        with pytest.raises(TypeError):
+            CircleContour(center=0.0, radius=1.0)
+
     def test_rejects_too_few_points(self):
         # a fractional count spaces the angles unevenly; a bool is no count
         for points in (1, 2.5, 256.5, True):
