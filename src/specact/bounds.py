@@ -29,7 +29,6 @@ from .operator_model import (
     Spectrum,
     _cyclic_heat_traces,
     _diag_plus,
-    _mc_mean,
     _require_finite_positive,
     _square_complex,
     _trace_of,
@@ -37,7 +36,7 @@ from .operator_model import (
     operator_norm,
     require_hermitian,
 )
-from .rng import make_rng, simplex_uniform
+from .rng import _mc_mean, make_rng, simplex_uniform
 
 __all__ = [
     "BoundReport",
@@ -94,10 +93,9 @@ def simplex_bound_check(m: int, k: int, samples: int, seed: int) -> BoundReport:
     log_integrand = -0.5 * np.sum(log_s, axis=1)
     log_density = log_norm + np.sum((alpha[None, :k] - 1.0) * log_s, axis=1)
     weights = np.exp(log_integrand - log_density)
-    lhs = float(weights.mean())
-    stderr = float(weights.std(ddof=1) / math.sqrt(samples))
+    lhs, stderr = _mc_mean(weights, 1.0)
     rhs = math.pi**k / math.factorial(m - k) if k <= m else math.inf
-    return BoundReport(lhs=lhs, rhs=rhs, mc_stderr=stderr)
+    return BoundReport(lhs=lhs.real, rhs=rhs, mc_stderr=stderr)
 
 
 def holder_estimate_check(

@@ -319,6 +319,12 @@ def _random_nodes(rng: np.random.Generator, max_size: int) -> np.ndarray:
             return nodes
 
 
+def _widest_spectrum(dim: int) -> Spectrum:
+    """dim values spread over [-2, 2]: the widest random_spectrum(dim, 2.0)
+    can draw, so it needs the most contour points."""
+    return Spectrum(np.linspace(-2.0, 2.0, dim))
+
+
 def _rel_err(value: float, ref: float, floor: float = 0.0) -> float:
     """|value - ref| relative to |ref|, and to no less than 1e-12 or ``floor``."""
     return abs(value - ref) / max(abs(ref), 1e-12, floor)
@@ -337,13 +343,16 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
     n_max = _number(section, "n_max", "verify", int, default=3, positive=True)
     mc_samples = _number(section, "mc_samples", "verify", int, default=100_000, positive=True)
     seed = _seed_of(section, "verify", override) if checks else 0
-    # the largest tuple sums the checks can draw
+    f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
+    # every route's own checks at the largest instance the checks can draw,
+    # and the largest bracket of the identity check, which is not a route
     if "route-agreement" in checks:
-        _check_budget(dim_max, n_max, DEFAULT_TUPLE_BUDGET)
+        widest = _widest_spectrum(dim_max)
+        for plan in ROUTES.values():
+            plan((n_max,), widest, f, DEFAULT_TUPLE_BUDGET, FD_STEP)
     if "bracket-identities" in checks:
         _check_budget(dim_max, n_max + 1, DEFAULT_TUPLE_BUDGET)
 
-    f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
     rows: list[list] = []
 
     def emit(check: str, detail: str, errors: list, bound: float):
@@ -393,12 +402,12 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
                 order = int(rng.integers(1, n_max + 1))
                 spec = random_spectrum(dim, 2.0, rng)
                 mat = require_hermitian(random_hermitian(dim, rng, norm=0.5), dim)
-                ref = ROUTES["dd"]((order,), spec, mat, f, DEFAULT_TUPLE_BUDGET, FD_STEP)[0]
+                ref = ROUTES["dd"]((order,), spec, f, DEFAULT_TUPLE_BUDGET, FD_STEP)(mat)[0]
                 # terms below what the fd oracle can resolve (over FD_TOL)
                 # are compared in absolute terms
                 fd_floor = fd_noise_floor(order, FD_STEP, dim) / FD_TOL
                 for route, errs in errors.items():
-                    value = ROUTES[route]((order,), spec, mat, f, DEFAULT_TUPLE_BUDGET, FD_STEP)[0]
+                    value = ROUTES[route]((order,), spec, f, DEFAULT_TUPLE_BUDGET, FD_STEP)(mat)[0]
                     errs.append(_rel_err(value, ref, fd_floor if route == "fd" else 0.0))
             for route, errs in errors.items():
                 detail = {"theorem": "theorem-over-n", "fd": "finite-difference"}.get(route, route)
@@ -487,7 +496,7 @@ def cmd_bench(cfg: dict, out_dir: str, override: int | None) -> int:
     rng = make_rng(seed, stream=21)
     f = make_gaussian_mixture([(1.0, 1.0)])
     if dims and orders:
-        _check_budget(max(dims), max(orders), DEFAULT_TUPLE_BUDGET)
+        ROUTES["dd"]((max(orders),), _widest_spectrum(max(dims)), f, DEFAULT_TUPLE_BUDGET, FD_STEP)
 
     rows = []
     for dim in dims:

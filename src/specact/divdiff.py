@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .functions import SmoothFunction
-from .rng import make_rng, simplex_uniform
+from .rng import _mc_mean, make_rng, simplex_uniform
 
 __all__ = [
     "CircleContour",
@@ -181,11 +181,10 @@ def dd_hermite_mc(
     args = s @ np.asarray(nl.nodes)
     vals = np.asarray(f.deriv(n, args), dtype=float)
     scale = 1.0 / math.factorial(n)
-    estimate = float(vals.mean() * scale)
-    if samples == 1:
-        return estimate, 0.0
-    stderr = float(vals.std(ddof=1) * scale / math.sqrt(samples))
-    return estimate, stderr
+    if samples == 1:  # no spread to estimate from one sample
+        return float(vals.mean() * scale), 0.0
+    estimate, stderr = _mc_mean(vals, scale)
+    return estimate.real, stderr
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """An index-tuple enumeration would exceed the configured budget."""
+    """A route's work, in index tuples or contour entries, would exceed its budget."""
 
 
 class ConfigError(ValueError):

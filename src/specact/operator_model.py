@@ -34,7 +34,7 @@ import numpy as np
 from .divdiff import MultisetDivDiff
 from .errors import BudgetExceededError
 from .functions import exp_decay
-from .rng import make_rng, simplex_uniform
+from .rng import _mc_mean, make_rng, simplex_uniform
 
 __all__ = [
     "DEFAULT_TUPLE_BUDGET",
@@ -267,14 +267,6 @@ def _cyclic_heat_traces(
             prod = prod @ factor
         out[lo : lo + len(s)] = np.einsum("pii->p", prod)
     return out
-
-
-def _mc_mean(traces: np.ndarray, scale: float) -> tuple[complex, float]:
-    """Sample mean of complex ``traces`` times ``scale``, and its standard
-    error with the real and imaginary sample variances summed."""
-    estimate = complex(traces.mean() * scale)
-    spread = math.sqrt(traces.real.var(ddof=1) + traces.imag.var(ddof=1))
-    return estimate, float(spread * scale / math.sqrt(len(traces)))
 
 
 def bracket_mc(

@@ -1,4 +1,4 @@
-"""Seeded random generators and simplex sampling.
+"""Seeded random generators, simplex sampling and the Monte Carlo mean.
 
 Every stochastic routine in the package draws from a Philox generator
 keyed by an explicit 64-bit seed, so results are reproducible across
@@ -40,3 +40,12 @@ def simplex_uniform(rng: np.random.Generator, order: int, size: int) -> np.ndarr
     bounds[:, 1:-1] = u
     bounds[:, -1] = 1.0
     return np.diff(bounds, axis=1)
+
+
+def _mc_mean(samples: np.ndarray, scale: float) -> tuple[complex, float]:
+    """Sample mean of real or complex ``samples`` times ``scale``, and its
+    standard error with the real and imaginary sample variances summed;
+    needs at least two samples."""
+    estimate = complex(samples.mean() * scale)
+    spread = np.sqrt(samples.real.var(ddof=1) + samples.imag.var(ddof=1))
+    return estimate, float(spread * scale / np.sqrt(len(samples)))

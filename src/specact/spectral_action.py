@@ -23,8 +23,10 @@ against one another:
                        resolution limit is fd_noise_floor
 
 The tuple sums are evaluated as tensor contractions against cached
-divided-difference tensors; cost grows like N^n and is refused above a
-configurable budget.
+divided-difference tensors; cost grows like N^n.  Each route is a plan in
+ROUTES that checks its own cost before any work: N^n tuples against the
+budget expand takes, or the contour's points x N^2 x n entries against
+the fixed CONTOUR_ENTRY_BUDGET.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,58 +88,67 @@ def _unperturbed_trace(spec: Spectrum, f: SmoothFunction) -> float:
     return float(np.sum(np.asarray(f(spec.eigenvalues), dtype=float)))
 
 
-# Each route computes a nonempty ascending list of orders in one pass,
-# sharing its tables, contour or eigen-solves across them; the per-order
-# public functions and expand both call into it.  A table route builds
-# every level its top order needs at once, then holds one order's tensor
-# at a time.
+# Each route is a plan: given a nonempty ascending list of orders, the
+# spectrum, f, the tuple budget and the fd step, it runs every check of its
+# cost and inputs, computes nothing, and returns the pass run(A), which
+# shares its tables, contour or eigen-solves across the orders; a table
+# route builds every level its top order needs, then holds one tensor at a time.
 
 
-def _dd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: SmoothFunction,
-               budget: int) -> list[float]:
+def _dd_orders(orders: Sequence[int], spec: Spectrum, f: SmoothFunction, budget: int,
+               h: float) -> Callable[[np.ndarray], list[float]]:
     """(1/n) sum A_{i_1 i_2} ... A_{i_n i_1} f'[lam_{i_1}, ..., lam_{i_n}]
     at each order, over one table of f' on the spectrum."""
     _check_budget(spec.dim, orders[-1], budget)
-    table = MultisetDivDiff(f.derivative(), spec.eigenvalues)
-    table._level(orders[-1])
-    return [float((_cyclic_contract([mat] * n, table.tensor(n)) / n).real) for n in orders]
+
+    def run(mat: np.ndarray) -> list[float]:
+        table = MultisetDivDiff(f.derivative(), spec.eigenvalues)
+        table._level(orders[-1])
+        return [float((_cyclic_contract([mat] * n, table.tensor(n)) / n).real) for n in orders]
+    return run
 
 
-def _theorem_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
-                    f: SmoothFunction, budget: int) -> list[float]:
+def _theorem_orders(orders: Sequence[int], spec: Spectrum, f: SmoothFunction, budget: int,
+                    h: float) -> Callable[[np.ndarray], list[float]]:
     """sum A_{i_n i_1} ... A_{i_{n-1} i_n} f[lam_{i_n}, lam_{i_1}, ...,
     lam_{i_n}] at each order, over one table of f on the spectrum: the
     contribution, by the doubled-node derivative identity."""
     _check_budget(spec.dim, orders[-1], budget)
-    table = MultisetDivDiff(f, spec.eigenvalues)
-    table._level(orders[-1] + 1)
-    return [float(_cyclic_contract([mat] * n, table.doubled_tensor(n)).real) for n in orders]
+
+    def run(mat: np.ndarray) -> list[float]:
+        table = MultisetDivDiff(f, spec.eigenvalues)
+        table._level(orders[-1] + 1)
+        return [float(_cyclic_contract([mat] * n, table.doubled_tensor(n)).real) for n in orders]
+    return run
 
 
-def _bracket_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
-                    g: SmoothFunction | None, budget: int) -> list[float]:
+def _bracket_orders(orders: Sequence[int], spec: Spectrum, f: SmoothFunction | None,
+                    budget: int, h: float) -> Callable[[np.ndarray], list[float]]:
     """The bracket sum at each order, over one table of g on the squared
     spectrum, where f(x) = g(x^2): divided differences are linear, so the
     mu-integral of the e^{-tu} brackets is g's bracket, and each
     <1, B_1, ..., B_k> is a unit bracket of the doubled tensor."""
+    g = None if f is None else f.square_companion
     if g is None:
         raise ValueError("bracket route needs f = g(x^2): a measure or a square companion")
     _check_budget(spec.dim, orders[-1], budget)
-    table = MultisetDivDiff(g, spec.squares)
-    table._level(orders[-1] + 1)
-    anti = anticommutator_with_d(spec, mat)
-    sq = mat @ mat
-    out = []
-    for n in orders:
-        total = 0.0j
-        # one tensor for each bracket length k; the (-1)^k of the sum
-        # cancels the (-1)^k of the closed bracket form
-        for k, group in groupby(step_bitstrings(n), key=len):
-            weight = table.doubled_tensor(k)
-            for bits in group:
-                total += _unit_bracket([sq if b else anti for b in bits], weight)
-        out.append(float(total.real))
-    return out
+
+    def run(mat: np.ndarray) -> list[float]:
+        table = MultisetDivDiff(g, spec.squares)
+        table._level(orders[-1] + 1)
+        anti, sq = anticommutator_with_d(spec, mat), mat @ mat
+        out = []
+        for n in orders:
+            total = 0.0j
+            # one tensor for each bracket length k; the (-1)^k of the sum
+            # cancels the (-1)^k of the closed bracket form
+            for k, group in groupby(step_bitstrings(n), key=len):
+                weight = table.doubled_tensor(k)
+                for bits in group:
+                    total += _unit_bracket([sq if b else anti for b in bits], weight)
+            out.append(float(total.real))
+        return out
+    return run
 
 
 def _resolvent_traces(orders: Sequence[int], mat: np.ndarray, lam: np.ndarray,
@@ -167,10 +178,12 @@ def _resolvent_traces(orders: Sequence[int], mat: np.ndarray, lam: np.ndarray,
     return traces
 
 
-def _contour_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
-                    f: SmoothFunction) -> list[float]:
+def _contour_orders(orders: Sequence[int], spec: Spectrum, f: SmoothFunction, budget: int,
+                    h: float) -> Callable[[np.ndarray], list[float]]:
     """(1/n) (1/2 pi i) oint f'(z) tr (A (z - D)^{-1})^n dz at each order,
-    with every order's traces from one pass over the contour's upper half."""
+    with every order's traces from one pass over the contour's upper half;
+    its points x N^2 x n entries are held to CONTOUR_ENTRY_BUDGET, not to
+    the tuple budget."""
     contour = CircleContour.enclosing(spec, f)
     entries = contour.points * spec.dim**2 * orders[-1]
     if entries > CONTOUR_ENTRY_BUDGET:
@@ -178,13 +191,16 @@ def _contour_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray,
             f"contour needs {contour.points} points x {spec.dim}^2 x order {orders[-1]} = "
             f"{entries} work entries, over budget {CONTOUR_ENTRY_BUDGET}"
         )
-    sums = contour.real_integral(
-        lambda z: f.deriv_complex(1, z) * _resolvent_traces(orders, mat, spec.eigenvalues, z))
-    return [float(total / n) for n, total in zip(orders, sums)]
+
+    def run(mat: np.ndarray) -> list[float]:
+        sums = contour.real_integral(
+            lambda z: f.deriv_complex(1, z) * _resolvent_traces(orders, mat, spec.eigenvalues, z))
+        return [float(total / n) for n, total in zip(orders, sums)]
+    return run
 
 
-def _fd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: SmoothFunction,
-               h: float) -> list[float]:
+def _fd_orders(orders: Sequence[int], spec: Spectrum, f: SmoothFunction, budget: int,
+               h: float) -> Callable[[np.ndarray], list[float]]:
     """Central differences of phi(u) = tr f(D + u A) at steps h and h/2,
     Richardson-extrapolated, at each order.  Orders share stencil points,
     so phi costs one eigen-solve per distinct nonzero u (the same float
@@ -192,50 +208,56 @@ def _fd_orders(orders: Sequence[int], spec: Spectrum, mat: np.ndarray, f: Smooth
     is summed over the spectrum, which a solve of the diagonal D + 0 A
     returns unchanged."""
     _require_finite_positive(f"fd step (and its power {orders[-1]})", h, orders[-1])
-    phi = {0.0: _unperturbed_trace(spec, f)}
 
-    def diff(n: int, step: float) -> float:
-        coeff = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)])
-        vals = []
-        for k in range(n + 1):
-            u = (n / 2.0 - k) * step
-            if u not in phi:
-                phi[u] = _trace_of(f, _diag_plus(spec.eigenvalues, (u, mat)))
-            vals.append(phi[u])
-        return float(np.dot(coeff, vals) / step**n)
+    def run(mat: np.ndarray) -> list[float]:
+        phi = {0.0: _unperturbed_trace(spec, f)}
 
-    return [(4.0 * diff(n, h / 2.0) - diff(n, h)) / 3.0 / math.factorial(n) for n in orders]
+        def diff(n: int, step: float) -> float:
+            coeff = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)])
+            vals = []
+            for k in range(n + 1):
+                u = (n / 2.0 - k) * step
+                if u not in phi:
+                    phi[u] = _trace_of(f, _diag_plus(spec.eigenvalues, (u, mat)))
+                vals.append(phi[u])
+            return float(np.dot(coeff, vals) / step**n)
+
+        return [(4.0 * diff(n, h / 2.0) - diff(n, h)) / 3.0 / math.factorial(n) for n in orders]
+    return run
 
 
-def taylor_term(
-    n: int,
-    spec: Spectrum,
-    a,
-    f: SmoothFunction,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> float:
+# route name -> its plan (orders, spec, f, budget, fd_step) -> run(A) -> the
+# contributions at those orders
+ROUTES = {"dd": _dd_orders, "theorem": _theorem_orders, "bracket": _bracket_orders,
+          "contour": _contour_orders, "fd": _fd_orders}
+
+
+def _term(route: str, n: int, spec: Spectrum, a, f: SmoothFunction | None,
+          h: float = 0.05) -> float:
+    """The order-n contribution, n >= 1, by one route's plan and pass."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    mat = require_hermitian(a, spec.dim)
+    return ROUTES[route]((n,), spec, f, DEFAULT_TUPLE_BUDGET, h)(mat)[0]
+
+
+def taylor_term(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
     """Order-n Taylor contribution via divided differences of f'.
 
     Order 0 is tr f(D).  For n >= 1 the closed form is
     (1/n) sum_{i_1..i_n} A_{i_1 i_2} ... A_{i_n i_1}
     f'[lam_{i_1}, ..., lam_{i_n}]; repeated eigenvalues flow through the
-    confluent table.
+    confluent table.  Above DEFAULT_TUPLE_BUDGET tuples it is refused.
     """
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    mat = require_hermitian(a, spec.dim)
-    if n == 0:
-        return _unperturbed_trace(spec, f)
-    return _dd_orders((n,), spec, mat, f, budget)[0]
+    if n > 0:
+        return _term("dd", n, spec, a, f)
+    require_hermitian(a, spec.dim)
+    return _unperturbed_trace(spec, f)
 
 
-def taylor_term_theorem_form(
-    n: int,
-    spec: Spectrum,
-    a,
-    f: SmoothFunction,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> float:
+def taylor_term_theorem_form(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
     """Order-n term from divided differences of f itself, scaled by n.
 
     Evaluates n * sum A_{i_n i_1} A_{i_1 i_2} ... A_{i_{n-1} i_n}
@@ -243,18 +265,10 @@ def taylor_term_theorem_form(
     last node, which raises the difference order by one); dividing by n
     recovers taylor_term.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    return _theorem_orders((n,), spec, require_hermitian(a, spec.dim), f, budget)[0] * n
+    return _term("theorem", n, spec, a, f) * n
 
 
-def taylor_term_bracket_form(
-    n: int,
-    spec: Spectrum,
-    a,
-    mu: DiscreteMeasure,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> float:
+def taylor_term_bracket_form(n: int, spec: Spectrum, a, mu: DiscreteMeasure) -> float:
     """Order-n term as an alternating sum of heat-kernel brackets.
 
     sum_k (-1)^k sum over bitstrings eps in {0,1}^k with
@@ -262,10 +276,7 @@ def taylor_term_bracket_form(
     where B_i = {D, A} when eps_i = 0 and A^2 when eps_i = 1, read from
     one table of g(u) = sum_j w_j e^{-t_j u}, the companion of f = g(x^2).
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    g = None if mu is None else make_gaussian_mixture(mu).square_companion
-    return _bracket_orders((n,), spec, require_hermitian(a, spec.dim), g, budget)[0]
+    return _term("bracket", n, spec, a, None if mu is None else make_gaussian_mixture(mu))
 
 
 def taylor_term_contour(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
@@ -278,9 +289,7 @@ def taylor_term_contour(n: int, spec: Spectrum, a, f: SmoothFunction) -> float:
     (f(conj z) = conj f(z), as every function built here is).  A contour
     whose work exceeds CONTOUR_ENTRY_BUDGET is refused before any work.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    return _contour_orders((n,), spec, require_hermitian(a, spec.dim), f)[0]
+    return _term("contour", n, spec, a, f)
 
 
 def gateaux_fd(n: int, spec: Spectrum, a, f: SmoothFunction, h: float = 0.05) -> float:
@@ -291,23 +300,7 @@ def gateaux_fd(n: int, spec: Spectrum, a, f: SmoothFunction, h: float = 0.05) ->
     h^4), and divides by n!.  Independent of every divided-difference
     code path.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    return _fd_orders((n,), spec, require_hermitian(a, spec.dim), f, h)[0]
-
-
-# route name -> its all-orders pass (orders, spec, mat, f, budget, fd_step)
-# -> the contributions at those orders
-ROUTES = {
-    "dd": lambda orders, spec, mat, f, budget, h: _dd_orders(orders, spec, mat, f, budget),
-    "theorem": lambda orders, spec, mat, f, budget, h: _theorem_orders(
-        orders, spec, mat, f, budget),
-    "bracket": lambda orders, spec, mat, f, budget, h: _bracket_orders(
-        orders, spec, mat, f.square_companion, budget
-    ),
-    "contour": lambda orders, spec, mat, f, budget, h: _contour_orders(orders, spec, mat, f),
-    "fd": lambda orders, spec, mat, f, budget, h: _fd_orders(orders, spec, mat, f, h),
-}
+    return _term("fd", n, spec, a, f, h)
 
 
 def fd_noise_floor(n: int, h: float, dim: int) -> float:
@@ -430,8 +423,8 @@ def expand(
             if np.float64(eps) ** n_max == math.inf:
                 raise ValueError(f"scaling factor {eps!r} overflows at power {n_max}")
     mat = require_hermitian(a, spec.dim)
-    # the route runs its checks before any work, so it goes before S_0
-    higher = ROUTES[route](range(1, n_max + 1), spec, mat, f, budget, fd_step) if n_max else []
+    # the route's plan runs its checks before any work, so it goes before S_0
+    higher = ROUTES[route](range(1, n_max + 1), spec, f, budget, fd_step)(mat) if n_max else []
     contribs = [_unperturbed_trace(spec, f), *higher]
 
     # action_exact on the matrix validated above

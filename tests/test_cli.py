@@ -11,6 +11,7 @@ import pytest
 import specact
 from specact import Spectrum, dd_recursive, make_gaussian_mixture, taylor_term
 from specact.cli import main
+from specact.errors import BudgetExceededError
 from specact.spectral_action import ROUTES
 
 
@@ -306,8 +307,14 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("an instance was computed")
 
-        for route in ROUTES:
-            monkeypatch.setitem(ROUTES, route, refuse)
+        def checked_then_refused(plan):
+            def stub(*args):
+                plan(*args)  # the route's own checks
+                return refuse
+            return stub
+
+        for route, plan in list(ROUTES.items()):
+            monkeypatch.setitem(ROUTES, route, checked_then_refused(plan))
         # every bracket of the identity check reads a table built here
         monkeypatch.setattr(specact.MultisetDivDiff, "__init__", refuse)
         cfg = dict(BASE_CFG, verify={"seed": 7, "checks": [check],
@@ -315,6 +322,64 @@ class TestVerify:
         path = write_cfg(tmp_path / "c.json", cfg)
         assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 4
         assert "budget exceeded" in capsys.readouterr().err
+        assert not (tmp_path / "verify.csv").exists()
+
+    def test_contour_budget_checked_before_any_instance(self, tmp_path, capsys, monkeypatch):
+        # 2400 tuples at order 1 are within the tuple budget, but the widest
+        # spectrum the check can draw, 2400 values over [-2, 2], takes 185
+        # contour points: 185 x 2400^2 = 1.07e9 entries, over the contour's 10^9
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was computed")
+
+        monkeypatch.setattr(specact.MultisetDivDiff, "__init__", refuse)
+        cfg = dict(BASE_CFG, verify={"seed": 7, "checks": ["route-agreement"],
+                                     "dim_max": 2400, "n_max": 1})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 4
+        assert "budget exceeded: contour needs 185 points" in capsys.readouterr().err
+        assert not (tmp_path / "verify.csv").exists()
+
+    def test_plan_checked_once_then_once_per_instance(self, tmp_path, monkeypatch):
+        calls = []
+        dd = ROUTES["dd"]
+
+        def stub(orders, spec, f, budget, h):
+            calls.append(("plan", tuple(orders), tuple(spec.eigenvalues)))
+            run = dd(orders, spec, f, budget, h)
+
+            def stub_run(mat):
+                calls.append(("run", mat.shape[0]))
+                return run(mat)
+            return stub_run
+
+        monkeypatch.setitem(ROUTES, "stub", stub)
+        cfg = dict(BASE_CFG, verify={"seed": 7, "instances": 3, "dim_max": 4, "n_max": 3,
+                                     "checks": ["route-agreement"]})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 0
+        # the pre-check reads the largest instance: N = 4 over [-2, 2] at order 3
+        assert calls[0] == ("plan", (3,), tuple(np.linspace(-2.0, 2.0, 4)))
+        assert [c[0] for c in calls[1:]] == ["plan", "run"] * 3
+        # then each instance's plan, at its own order, and its pass on its own A
+        for (_, orders, lam), (_, dim) in zip(calls[1::2], calls[2::2]):
+            assert len(orders) == 1 and 1 <= orders[0] <= 3 and len(lam) == dim
+        rows = {row[1]: row for row in read_csv(tmp_path / "verify.csv")[1:]}
+        assert rows["dd-vs-stub"][2:] == ["3", "0", "1e-08", "true"]
+
+    def test_refusing_plan_exits_4_before_any_instance(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was computed")
+
+        def over_budget(*args):
+            raise BudgetExceededError("the stub route is over budget")
+
+        monkeypatch.setattr(specact.MultisetDivDiff, "__init__", refuse)
+        monkeypatch.setitem(ROUTES, "stub", over_budget)
+        cfg = dict(BASE_CFG, verify={"seed": 7, "instances": 3,
+                                     "checks": ["route-agreement"]})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 4
+        assert "the stub route is over budget" in capsys.readouterr().err
         assert not (tmp_path / "verify.csv").exists()
 
     def test_bracket_budget_at_its_edge(self, tmp_path, monkeypatch):
@@ -342,7 +407,7 @@ class TestVerify:
         assert rows["dd-vs-dd2"][2:] == ["3", "0", "1e-08", "true"]
 
     def test_nan_route_error_fails_its_row(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(ROUTES, "broken", lambda *args: [math.nan])
+        monkeypatch.setitem(ROUTES, "broken", lambda *args: lambda mat: [math.nan])
         cfg = dict(BASE_CFG, verify={"seed": 7, "instances": 3,
                                      "checks": ["route-agreement"]})
         path = write_cfg(tmp_path / "c.json", cfg)

@@ -35,8 +35,13 @@ from specact import (
 )
 from specact.errors import BudgetExceededError
 from specact.rng import make_rng
-from specact.operator_model import _trace_of, require_hermitian
+from specact.operator_model import DEFAULT_TUPLE_BUDGET, _trace_of, require_hermitian
 from specact.spectral_action import ROUTES, _contour_orders, _resolvent_traces
+
+
+def _contour_pass(orders, spec, a, f) -> list[float]:
+    """The contour route's plan and pass at these orders, on a as given."""
+    return _contour_orders(orders, spec, f, DEFAULT_TUPLE_BUDGET, 0.05)(a)
 
 
 def _count_calls(monkeypatch, owner, name: str) -> list:
@@ -133,7 +138,7 @@ class TestTaylorTerm:
         spec = linear_spectrum(40)
         a = np.eye(40)
         with pytest.raises(BudgetExceededError):
-            taylor_term(5, spec, a, mix, budget=10_000_000)
+            taylor_term(5, spec, a, mix)
 
     @pytest.mark.parametrize("route", ["dd", "theorem", "bracket"])
     def test_expand_checks_budget_before_any_work(self, mix, route, monkeypatch):
@@ -149,9 +154,9 @@ class TestTaylorTerm:
 
     def test_contour_checks_budget_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("contour nodes were built")
+            raise AssertionError("the contour integral was started")
 
-        monkeypatch.setattr(CircleContour, "nodes", refuse)
+        monkeypatch.setattr(CircleContour, "real_integral", refuse)
         spec = linear_spectrum(64)
         a = np.eye(64)
         # at t = 1e6 the ellipse has semi-axes a = 32.5 and b = 0.001, so it
@@ -164,13 +169,63 @@ class TestTaylorTerm:
         with pytest.raises(BudgetExceededError):
             expand(spec, a, f, 3, route="contour")
 
+    def test_expand_calls_the_plan_before_its_pass(self, spec4, herm4, mix, monkeypatch):
+        calls = []
+
+        def stub(orders, spec, f, budget, h):
+            calls.append(("plan", tuple(orders), spec, f, budget, h))
+
+            def run(mat):
+                calls.append(("run", mat.shape))
+                return [0.25 * n for n in orders]
+            return run
+
+        monkeypatch.setitem(ROUTES, "stub", stub)
+        rep = expand(spec4, herm4, mix, 3, route="stub", budget=123, fd_step=0.1)
+        assert calls == [("plan", (1, 2, 3), spec4, mix, 123, 0.1), ("run", (4, 4))]
+        assert rep.route == "stub" and rep.contributions[1:] == (0.25, 0.5, 0.75)
+
+    def test_expand_refused_by_its_plan_solves_nothing(self, spec4, herm4, mix, monkeypatch):
+        def over_budget(*args):
+            raise BudgetExceededError("the stub route is over budget")
+
+        monkeypatch.setitem(ROUTES, "stub", over_budget)
+        solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        with pytest.raises(BudgetExceededError, match="stub"):
+            expand(spec4, herm4, mix, 3, route="stub")
+        assert solves == []
+
+    @pytest.mark.parametrize("route", ["dd", "theorem", "bracket", "contour", "fd"])
+    def test_per_order_term_asks_its_route(self, spec4, herm4, mix, monkeypatch, route):
+        calls = []
+
+        def stub(orders, spec, f, budget, h):
+            calls.append((tuple(orders), spec, f, budget, h))
+            return lambda mat: [7.0]
+
+        monkeypatch.setitem(ROUTES, route, stub)
+        term = {"dd": taylor_term, "theorem": taylor_term_theorem_form,
+                "bracket": taylor_term_bracket_form, "contour": taylor_term_contour,
+                "fd": gateaux_fd}[route]
+        if route == "fd":
+            value = term(3, spec4, herm4, mix, h=0.02)
+        else:
+            value = term(3, spec4, herm4, mix.measure if route == "bracket" else mix)
+        # the theorem form is n times the contribution its route returns
+        assert value == (21.0 if route == "theorem" else 7.0)
+        [(orders, spec, f, budget, h)] = calls
+        assert (orders, spec, budget) == ((3,), spec4, DEFAULT_TUPLE_BUDGET)
+        assert h == (0.02 if route == "fd" else 0.05)
+        # the bracket form builds f from its measure
+        assert (f.measure == mix.measure) if route == "bracket" else (f is mix)
+
     def test_bracket_route_sums_dim_to_the_n(self, mix):
         # order 3 at N = 6: 6^3 = 216 tuples, within a budget of 1000 that
         # 6^4 = 1296 would exceed
         spec = linear_spectrum(6)
         a = random_hermitian(6, make_rng(5), norm=0.5)
         dd = taylor_term(3, spec, a, mix)
-        br = taylor_term_bracket_form(3, spec, a, mix.measure, budget=1000)
+        br = taylor_term_bracket_form(3, spec, a, mix.measure)
         assert abs(br - dd) <= 1e-8 * abs(dd)
         rep = expand(spec, a, mix, 3, route="bracket", budget=1000)
         assert rep.contributions[3] == br
@@ -639,12 +694,12 @@ class TestCircleContour:
             contour = CircleContour.enclosing(spec, f)
             with monkeypatch.context() as m:
                 m.setattr(CircleContour, "real_integral", kept)
-                at_p = np.array(_contour_orders(orders, spec, a, f))
+                at_p = np.array(_contour_pass(orders, spec, a, f))
             scale = seen.pop() / np.array(orders)
             with monkeypatch.context() as m:
                 m.setattr(CircleContour, "enclosing", classmethod(
                     lambda cls, spec, f: replace(contour, points=2 * contour.points)))
-                at_2p = np.array(_contour_orders(orders, spec, a, f))
+                at_2p = np.array(_contour_pass(orders, spec, a, f))
             worst = max(worst, float(np.max(np.abs(at_p - at_2p) / scale)))
         assert worst <= DOUBLING_TOL, worst
 
@@ -804,7 +859,7 @@ class TestFoldedQuadrature:
                  if mutant == "exact" or case[0].dim < 64]
         worst = _worst_fold_error(
             monkeypatch, mutant, cases,
-            lambda spec, a, f: _contour_orders(FOLD_ORDERS, spec, a, f))
+            lambda spec, a, f: _contour_pass(FOLD_ORDERS, spec, a, f))
         assert (worst <= FOLD_TOL) == (mutant == "exact"), worst
 
     @pytest.mark.parametrize("mutant", FOLD_MUTANTS)
