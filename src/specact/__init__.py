@@ -1,122 +1,19 @@
 """Taylor expansion of spectral-action trace functionals tr f(D + A) on
 finite-dimensional truncations, computed through divided differences and
-cross-verified against bracket, contour, and finite-difference routes."""
+cross-verified against bracket, contour, and finite-difference routes.
 
-from .bounds import (
-    BoundReport,
-    getzler_szenes_check,
-    holder_estimate_check,
-    simplex_bound_check,
-)
-from .divdiff import (
-    MultisetDivDiff,
-    NodeList,
-    dd_chain_square,
-    dd_contour,
-    dd_derivative_sum,
-    dd_hermite_mc,
-    dd_recursive,
-    step_bitstrings,
-)
-from .errors import BudgetExceededError, ConfigError
-from .functions import (
-    DiscreteMeasure,
-    SmoothFunction,
-    exp_decay,
-    make_gaussian_mixture,
-    polynomial_function,
-    square_function,
-)
-from .operator_model import (
-    BracketIdentityReport,
-    Spectrum,
-    anticommutator_with_d,
-    band_hermitian,
-    bracket_dd,
-    bracket_identity_check,
-    bracket_mc,
-    commutator_with_d,
-    commutator_with_d2,
-    dirac_circle_spectrum,
-    duhamel_residual,
-    heat_trace,
-    linear_spectrum,
-    one_form,
-    operator_norm,
-    random_hermitian,
-    random_spectrum,
-    require_hermitian,
-)
-from .spectral_action import (
-    CircleContour,
-    TaylorReport,
-    action_exact,
-    epsilon_enumerate,
-    epsilon_parent_move_count,
-    expand,
-    fd_noise_floor,
-    gateaux_fd,
-    gateaux_fd_mixed,
-    tadpole_check,
-    taylor_term,
-    taylor_term_bracket_form,
-    taylor_term_contour,
-    taylor_term_theorem_form,
-)
+Each module's ``__all__`` is the one list of its public names; the package
+exports their union."""
+
+from . import bounds, divdiff, errors, functions, operator_model, spectral_action
+from .bounds import *  # noqa: F401,F403
+from .divdiff import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .functions import *  # noqa: F401,F403
+from .operator_model import *  # noqa: F401,F403
+from .spectral_action import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "BracketIdentityReport",
-    "BudgetExceededError",
-    "CircleContour",
-    "ConfigError",
-    "DiscreteMeasure",
-    "MultisetDivDiff",
-    "NodeList",
-    "SmoothFunction",
-    "Spectrum",
-    "TaylorReport",
-    "action_exact",
-    "anticommutator_with_d",
-    "band_hermitian",
-    "bracket_dd",
-    "bracket_identity_check",
-    "bracket_mc",
-    "commutator_with_d",
-    "commutator_with_d2",
-    "dd_chain_square",
-    "dd_contour",
-    "dd_derivative_sum",
-    "dd_hermite_mc",
-    "dd_recursive",
-    "dirac_circle_spectrum",
-    "duhamel_residual",
-    "epsilon_enumerate",
-    "epsilon_parent_move_count",
-    "exp_decay",
-    "expand",
-    "fd_noise_floor",
-    "gateaux_fd",
-    "gateaux_fd_mixed",
-    "getzler_szenes_check",
-    "heat_trace",
-    "holder_estimate_check",
-    "linear_spectrum",
-    "make_gaussian_mixture",
-    "one_form",
-    "operator_norm",
-    "polynomial_function",
-    "random_hermitian",
-    "random_spectrum",
-    "require_hermitian",
-    "simplex_bound_check",
-    "square_function",
-    "step_bitstrings",
-    "tadpole_check",
-    "taylor_term",
-    "taylor_term_bracket_form",
-    "taylor_term_contour",
-    "taylor_term_theorem_form",
-]
+__all__ = sorted(name for module in (bounds, divdiff, errors, functions, operator_model,
+                                     spectral_action) for name in module.__all__)

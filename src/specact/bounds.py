@@ -36,7 +36,7 @@ from .operator_model import (
     operator_norm,
     require_hermitian,
 )
-from .rng import _mc_mean, make_rng, simplex_uniform
+from .rng import _mc_mean, _require_samples, make_rng, simplex_uniform
 
 __all__ = [
     "BoundReport",
@@ -78,12 +78,11 @@ def simplex_bound_check(m: int, k: int, samples: int, seed: int) -> BoundReport:
     stderr only reflects rounding.  k = m+1 makes the right side infinite
     and the check trivial.
     """
+    _require_samples(samples)
     if m < 0:
         raise ValueError(f"simplex order must be >= 0, got {m}")
     if not 0 <= k <= m + 1:
         raise ValueError(f"k must lie in [0, {m + 1}], got {k}")
-    if samples < 2:
-        raise ValueError(f"need at least two samples, got {samples}")
     alpha = np.array([0.5] * k + [1.0] * (m + 1 - k))
     rng = make_rng(seed)
     s = rng.dirichlet(alpha, size=samples)
@@ -116,11 +115,10 @@ def holder_estimate_check(
     to ops[0]).  rhs = prod ||A_i|| tr e^{-(1-eps) t D^2} /
     ((n-k)! (pi^{-2} eps t)^{k/2}) with k = sum alpha_i.
     """
+    _require_samples(samples)
     _require_finite_positive("heat time", t)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if samples < 2:
-        raise ValueError(f"need at least two samples, got {samples}")
     mats = [_square_complex(m, spec.dim) for m in ops]
     if not mats:
         raise ValueError("need at least one operator")

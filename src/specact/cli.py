@@ -165,7 +165,10 @@ def build_spectrum(section: dict, override: int | None) -> Spectrum:
         dim = _number(section, "dim", "spectrum", int, positive=True)
         lam_max = _number(section, "lam_max", "spectrum", positive=True)
         rng = make_rng(_seed_of(section, "spectrum", override), stream=1)
-        return random_spectrum(dim, lam_max, rng)
+        try:
+            return random_spectrum(dim, lam_max, rng)
+        except ValueError as exc:  # a lam_max whose range 2 lam_max overflows
+            raise ConfigError(f"spectrum.lam_max: {exc}") from exc
     raise ConfigError(f"spectrum: unknown kind '{kind}'")
 
 
@@ -341,7 +344,7 @@ def cmd_verify(cfg: dict, out_dir: str, override: int | None) -> int:
     instances = _number(section, "instances", "verify", int, default=50, positive=True)
     dim_max = _number(section, "dim_max", "verify", int, default=4, least=2)
     n_max = _number(section, "n_max", "verify", int, default=3, positive=True)
-    mc_samples = _number(section, "mc_samples", "verify", int, default=100_000, positive=True)
+    mc_samples = _number(section, "mc_samples", "verify", int, default=100_000, least=2)
     seed = _seed_of(section, "verify", override) if checks else 0
     f = make_gaussian_mixture([(1.0, 1.0), (0.5, 0.6)])
     # every route's own checks at the largest instance the checks can draw,

@@ -5,8 +5,10 @@ The recursive definition f[x_0,...,x_n] =
 (f[x_1,...,x_n] - f[x_0,...,x_{n-1}]) / (x_n - x_0) extends to repeated
 nodes by f[x,...,x] = f^{(m)}(x)/m! (m+1 copies).  Nodes closer than a
 merge tolerance are clustered to their mean before tabulation, trading a
-small, reported node perturbation for numerical stability.  dd_recursive
-and MultisetDivDiff fill their tables by one rule, _fill_levels.
+small, reported node perturbation for numerical stability.  One rule,
+_cluster, merges the nodes of NodeList, dd_recursive and MultisetDivDiff,
+and dd_recursive and MultisetDivDiff fill their tables by one rule,
+_fill_levels.
 
 Independent evaluation routes implemented here:
 
@@ -31,14 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .functions import SmoothFunction
-from .rng import _mc_mean, make_rng, simplex_uniform
+from .rng import _mc_mean, _require_samples, make_rng, simplex_uniform
 
 __all__ = [
     "CircleContour",
     "NodeList",
     "MultisetDivDiff",
-    "as_nodes",
     "dd_recursive",
     "dd_hermite_mc",
     "dd_contour",
@@ -48,9 +50,6 @@ __all__ = [
 ]
 
 
-# entries (1 MiB of complex128, at least one point) per (points, N, N) work
-# array of the resolvent route: an N = 8 contour of up to 1,024 points is one block
-CONTOUR_BLOCK = 2**16
 # dd_contour's largest t radius^2: e^{t radius^2} eps = 1e-9
 CONTOUR_GROWTH = math.log(1e-9 / np.finfo(float).eps)
 
@@ -59,21 +58,23 @@ def default_merge_tol(nodes) -> float:
     return 1e-8 * (1.0 + float(np.max(np.abs(nodes))))
 
 
-def _merge_runs(xs: Sequence[float], tol: float) -> list[list[float]]:
-    """Split ascending values into maximal runs with every gap <= ``tol``."""
+def _cluster(values, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one node-merge rule: the sorted values split into maximal runs
+    with every gap <= ``tol``.  Returns each run's node, ascending (the
+    value itself for exact repeats, as a mean of copies can round off it,
+    else the mean), and the run id of each value in the caller's order."""
+    vals = np.asarray(values, dtype=float)
+    order = np.argsort(vals, kind="stable")
     runs: list[list[float]] = []
-    for x in xs:
+    for x in vals[order].tolist():
         if runs and x - runs[-1][-1] <= tol:
             runs[-1].append(x)
         else:
             runs.append([x])
-    return runs
-
-
-def _representative(run: Sequence[float]) -> float:
-    """A merged run's node: the value itself for exact repeats (a mean of
-    copies can round off it), else the mean."""
-    return run[0] if run[0] == run[-1] else sum(run) / len(run)
+    rep = np.array([run[0] if run[0] == run[-1] else sum(run) / len(run) for run in runs])
+    ids = np.empty(vals.size, dtype=int)
+    ids[order] = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
+    return rep, ids
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,14 @@ class NodeList:
 
     def clusters(self) -> list[tuple[float, int]]:
         """Sorted (representative, multiplicity) pairs after merging."""
-        runs = _merge_runs(sorted(self.nodes), self.merge_tol)
-        return [(_representative(run), len(run)) for run in runs]
+        rep, ids = _cluster(self.nodes, self.merge_tol)
+        return list(zip(rep.tolist(), np.bincount(ids).tolist()))
 
     @property
     def max_merge_shift(self) -> float:
         """Largest distance any node moved to its cluster representative."""
-        runs = _merge_runs(sorted(self.nodes), self.merge_tol)
-        return max(abs(x - _representative(run)) for run in runs for x in run)
+        rep, ids = _cluster(self.nodes, self.merge_tol)
+        return float(np.max(np.abs(np.asarray(self.nodes) - rep[ids])))
 
 
 def as_nodes(nodes: NodeList | Sequence[float]) -> NodeList:
@@ -145,9 +146,9 @@ def dd_recursive(f: SmoothFunction, nodes: NodeList | Sequence[float]) -> float:
     under node permutations and equals MultisetDivDiff on the same
     clusters bit for bit.
     """
-    clusters = as_nodes(nodes).clusters()
-    rep = np.array([value for value, _ in clusters])
-    ids = np.repeat(np.arange(len(clusters)), [mult for _, mult in clusters])
+    nl = as_nodes(nodes)
+    rep, ids = _cluster(nl.nodes, nl.merge_tol)
+    ids.sort()
     values = [np.asarray(f(rep), dtype=float)[ids]]
     # nodes within SERIES_SPAN fill only the top window: one series row, or
     # one ladder value for one cluster, needing no window below it
@@ -172,18 +173,14 @@ def dd_hermite_mc(
     f^{(n)}(s . x); the uniform density is n!, so the integral estimate is
     the sample mean divided by n!.  Deterministic for a fixed seed.
     """
+    _require_samples(samples)
     nl = as_nodes(nodes)
     n = nl.order
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
     rng = make_rng(seed)
     s = simplex_uniform(rng, n, samples)
     args = s @ np.asarray(nl.nodes)
     vals = np.asarray(f.deriv(n, args), dtype=float)
-    scale = 1.0 / math.factorial(n)
-    if samples == 1:  # no spread to estimate from one sample
-        return float(vals.mean() * scale), 0.0
-    estimate, stderr = _mc_mean(vals, scale)
+    estimate, stderr = _mc_mean(vals, 1.0 / math.factorial(n))
     return estimate.real, stderr
 
 
@@ -226,16 +223,21 @@ class CircleContour:
         semi-axis), at conformal distance psi = artanh(b/a), where the rule
         errs like exp(-points psi) (Trefethen & Weideman): so it takes
         ceil(64 / min(1, psi)) points, the cap (psi = inf on a circle)
-        giving f's growth outside the same exp(-64) margin."""
-        lam = spec.eigenvalues
-        center = 0.5 * float(lam[0] + lam[-1])
-        radius = 0.5 * float(lam[-1] - lam[0]) + 1.0
+        giving f's growth outside the same exp(-64) margin.  A spectrum so
+        wide that this count, or the width itself, leaves the float range
+        needs more work than any budget: BudgetExceededError."""
+        lo, hi = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
+        center = 0.5 * (lo + hi)
+        radius = 0.5 * (hi - lo) + 1.0
         imag = 1.0
         if f.measure is not None:
             imag = min(imag, 1.0 / math.sqrt(float(np.max(f.measure.ts))))
         psi = math.atanh(imag / radius) if imag < radius else math.inf
-        points = math.ceil(64.0 / min(1.0, psi))
-        return cls(center=center, radius=radius, points=points, imag_radius=imag)
+        points = 64.0 / min(1.0, psi) if psi > 0.0 else math.inf
+        if points == math.inf:
+            raise BudgetExceededError(
+                f"a contour around [{lo:g}, {hi:g}] needs more points than a float holds")
+        return cls(center=center, radius=radius, points=math.ceil(points), imag_radius=imag)
 
     def _nodes_weights(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The first ``count`` nodes and their weights, from one cos and one sin."""
@@ -378,15 +380,11 @@ class MultisetDivDiff:
             raise ValueError("need a nonempty 1-d value list")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        order = np.argsort(vals, kind="stable")
-        runs = _merge_runs(vals[order].tolist(), default_merge_tol(vals))
-        self.cluster_of = np.empty(vals.size, dtype=int)
-        self.cluster_of[order] = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
-        self.rep = np.array([_representative(run) for run in runs])
+        self.rep, self.cluster_of = _cluster(vals, default_merge_tol(vals))
         # level s at index s; a level-1 key's head and tail are the empty key
-        self._levels = [None, _level_plan(len(runs), 1)]
+        self._levels = [None, _level_plan(len(self.rep), 1)]
         self._values = [None, np.asarray(fn(self.rep), dtype=float)]
-        self._counts = {"node": len(runs), "ladder": 0, "series": 0, "newton": 0}
+        self._counts = {"node": len(self.rep), "ladder": 0, "series": 0, "newton": 0}
 
     @property
     def evaluations(self) -> dict[str, int]:

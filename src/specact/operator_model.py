@@ -34,10 +34,9 @@ import numpy as np
 from .divdiff import MultisetDivDiff
 from .errors import BudgetExceededError
 from .functions import exp_decay
-from .rng import _mc_mean, make_rng, simplex_uniform
+from .rng import _mc_mean, _require_samples, make_rng, simplex_uniform
 
 __all__ = [
-    "DEFAULT_TUPLE_BUDGET",
     "Spectrum",
     "BracketIdentityReport",
     "require_hermitian",
@@ -59,6 +58,16 @@ __all__ = [
 ]
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
+# entries (1 MiB of complex128) per (rows, N, N) work array of a batched path, the
+# resolvent route's contour points or the Monte Carlo heat traces' sample rows: an
+# N = 8 contour of up to 1,024 points is one batch
+BATCH_ENTRIES = 2**16
+
+
+def _batch_rows(dim: int) -> int:
+    """Rows per batch of (rows, dim, dim) arrays: BATCH_ENTRIES entries, at
+    least one row.  Every row is computed on its own, so this moves no value."""
+    return max(1, BATCH_ENTRIES // dim**2)
 
 
 def _check_budget(dim: int, exponent: int, budget: int) -> None:
@@ -247,18 +256,13 @@ def bracket_dd(ops: Sequence, spec: Spectrum, t: float) -> complex:
     return _bracket(*_bracket_setup(ops, spec, t))
 
 
-# entries (1 MiB of complex128) per (rows, N, N) batch in _cyclic_heat_traces,
-# at least one row
-_HEAT_TRACE_CHUNK = 2**16
-
-
 def _cyclic_heat_traces(
     gs: Sequence[np.ndarray], ws: Sequence[np.ndarray], s_batch: np.ndarray
 ) -> np.ndarray:
     """tr( G_0 diag(e^{-s_0 w_0}) G_1 diag(e^{-s_1 w_1}) ... ) per sample row."""
     k = len(gs)
     out = np.empty(s_batch.shape[0], dtype=complex)
-    rows = max(1, _HEAT_TRACE_CHUNK // gs[0].shape[0] ** 2)
+    rows = _batch_rows(gs[0].shape[0])
     for lo in range(0, s_batch.shape[0], rows):
         s = s_batch[lo : lo + rows]
         prod = gs[0][None, :, :] * np.exp(-np.outer(s[:, 0], ws[0]))[:, None, :]
@@ -282,14 +286,13 @@ def bracket_mc(
     simplex samples and divides by n! (the uniform density).  Order 0 needs
     no integration and is returned exactly with zero stderr.
     """
+    _require_samples(samples)
     _require_finite_positive("heat time", t)
     mats = [_square_complex(m, spec.dim) for m in ops]
     n = len(mats) - 1
     if n == 0:
         exact = complex(np.sum(np.diagonal(mats[0]) * np.exp(-t * spec.squares)))
         return exact, 0.0
-    if samples < 2:
-        raise ValueError(f"need at least two samples, got {samples}")
     rng = make_rng(seed)
     s = simplex_uniform(rng, n, samples)
     w = [t * spec.squares] * (n + 1)
@@ -431,6 +434,8 @@ def random_spectrum(dim: int, lam_max: float, rng: np.random.Generator) -> Spect
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     _require_finite_positive("lam_max", lam_max)
+    if 2.0 * float(lam_max) == math.inf:
+        raise ValueError(f"lam_max {lam_max!r} is too large: the range 2 lam_max overflows")
     return Spectrum.from_values(rng.uniform(-lam_max, lam_max, size=dim))
 
 

@@ -1,4 +1,5 @@
-"""Seeded random generators, simplex sampling and the Monte Carlo mean.
+"""Seeded random generators, simplex sampling, and the Monte Carlo mean
+and its sample-count rule.
 
 Every stochastic routine in the package draws from a Philox generator
 keyed by an explicit 64-bit seed, so results are reproducible across
@@ -42,10 +43,17 @@ def simplex_uniform(rng: np.random.Generator, order: int, size: int) -> np.ndarr
     return np.diff(bounds, axis=1)
 
 
+def _require_samples(samples: int) -> None:
+    """The one sample-count rule of every Monte Carlo estimator: _mc_mean's
+    ddof=1 variance needs at least two samples."""
+    if samples < 2:
+        raise ValueError(f"need at least two samples, got {samples}")
+
+
 def _mc_mean(samples: np.ndarray, scale: float) -> tuple[complex, float]:
     """Sample mean of real or complex ``samples`` times ``scale``, and its
     standard error with the real and imaginary sample variances summed;
-    needs at least two samples."""
+    needs the two samples _require_samples asks for."""
     estimate = complex(samples.mean() * scale)
     spread = np.sqrt(samples.real.var(ddof=1) + samples.imag.var(ddof=1))
     return estimate, float(spread * scale / np.sqrt(len(samples)))

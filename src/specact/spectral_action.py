@@ -38,12 +38,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divdiff import CONTOUR_BLOCK, CircleContour, MultisetDivDiff, step_bitstrings
+from .divdiff import CircleContour, MultisetDivDiff, step_bitstrings
 from .errors import BudgetExceededError
 from .functions import DiscreteMeasure, SmoothFunction, make_gaussian_mixture
 from .operator_model import (
     DEFAULT_TUPLE_BUDGET,
     Spectrum,
+    _batch_rows,
     _check_budget,
     _cyclic_contract,
     _diag_plus,
@@ -57,7 +58,6 @@ from .operator_model import (
 )
 
 __all__ = [
-    "CircleContour",
     "TaylorReport",
     "action_exact",
     "taylor_term",
@@ -154,13 +154,12 @@ def _bracket_orders(orders: Sequence[int], spec: Spectrum, f: SmoothFunction | N
 def _resolvent_traces(orders: Sequence[int], mat: np.ndarray, lam: np.ndarray,
                       z: np.ndarray) -> np.ndarray:
     """tr M^n with M = A (z - D)^{-1}, one row per order and one column per
-    point, from running powers of M per block of CONTOUR_BLOCK entries (a
-    point's products are its own, so the block size moves no value):
+    point, from running powers of M per batch of _batch_rows points:
     tr M^n = sum_ij (M^a)_ij (M^b)_ji with a = ceil(n/2) and b = floor(n/2),
     so the top order takes ceil(n/2) - 1 products and only M^a and M^(a-1)
     are held."""
     traces = np.empty((len(orders), z.size), dtype=complex)
-    step = max(1, CONTOUR_BLOCK // lam.size**2)
+    step = _batch_rows(lam.size)
     for start in range(0, z.size, step):
         block = slice(start, start + step)
         resolvent = 1.0 / (z[block, None] - lam[None, :])

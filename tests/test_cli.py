@@ -92,9 +92,15 @@ class TestConfigErrors:
                                                                    [0, 0, 0, 0], [0, 0, 0, 0]]},
          "perturbation"),
         ("expand", "spectrum", 5, "spectrum"),
+        # the draw's range 2 lam_max overflows
+        ("expand", "spectrum", {"kind": "random-uniform", "dim": 4, "lam_max": 1e308, "seed": 1},
+         "spectrum.lam_max"),
         ("verify", "verify", {"instances": "many", "seed": 1}, "verify.instances"),
         ("verify", "verify", {"instances": -3, "seed": 1}, "verify.instances"),
         ("verify", "verify", {"mc_samples": "lots", "seed": 1}, "verify.mc_samples"),
+        # one sample has no stderr to measure the Monte Carlo error in
+        ("verify", "verify", {"checks": ["divdiff-triangle"], "instances": 3, "mc_samples": 1,
+                              "seed": 7}, "verify.mc_samples"),
         ("verify", "verify", {"dim_max": 1, "seed": 1}, "verify.dim_max"),
         ("verify", "verify", {"seed": True}, "verify.seed"),
         ("bounds", "bounds", {"simplex": {"samples": "lots", "seed": 1}}, "bounds.simplex.samples"),
@@ -202,6 +208,16 @@ class TestExpand:
         path = write_cfg(tmp_path / "c.json", cfg)
         assert main(["expand", "--config", path, "--out", str(tmp_path)]) == 4
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [[0, 1e308], [-1e308, 0, 1e308]])
+    def test_contour_route_on_too_wide_spectrum_exits_4(self, tmp_path, capsys, values):
+        cfg = dict(BASE_CFG, spectrum={"kind": "explicit", "values": values},
+                   perturbation={"kind": "explicit", "matrix": np.eye(len(values)).tolist()},
+                   run={"n_max": 2, "route": "contour"})
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["expand", "--config", path, "--out", str(tmp_path)]) == 4
+        assert "budget exceeded" in capsys.readouterr().err
+        assert not (tmp_path / "expand.csv").exists()
 
     def test_explicit_complex_perturbation(self, tmp_path):
         cfg = {

@@ -261,6 +261,11 @@ class TestHermiteMC:
         with pytest.raises(ValueError):
             dd_hermite_mc(mix, [0.0, 1.0], 0, seed=1)
 
+    def test_rejects_one_sample(self, mix):
+        # one sample has no spread, so its stderr would read 0
+        with pytest.raises(ValueError, match="at least two samples"):
+            dd_hermite_mc(mix, [0.0, 1.0], 1, seed=1)
+
 
 class TestContour:
     def test_square_polynomial(self):

@@ -205,6 +205,11 @@ class TestBracketDD:
         est, err = bracket_mc(ops, spec4, t, samples=200_000, seed=4)
         assert abs(est - exact) < 3.0 * max(err, 1e-15)
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_mc_refuses_one_sample(self, spec4, herm4, order):
+        with pytest.raises(ValueError, match="at least two samples"):
+            bracket_mc([herm4] * (order + 1), spec4, 0.5, samples=1, seed=1)
+
     def test_mc_order_zero_exact(self, spec4, herm4):
         est, err = bracket_mc([herm4], spec4, 0.5, samples=10, seed=1)
         ref = bracket_dd([herm4], spec4, 0.5)
@@ -245,7 +250,7 @@ class TestBracketDD:
         s = rng.dirichlet(np.ones(3), size=50)
         whole = _cyclic_heat_traces(gs, ws, s)
         for rows in (1, 7):
-            monkeypatch.setattr(om_module, "_HEAT_TRACE_CHUNK", rows * dim * dim)
+            monkeypatch.setattr(om_module, "BATCH_ENTRIES", rows * dim * dim)
             assert np.array_equal(_cyclic_heat_traces(gs, ws, s), whole)
 
     def test_degenerate_squares(self, herm4):
@@ -446,6 +451,16 @@ class TestBuilders:
         spec = random_spectrum(10, 1.5, rng)
         assert spec.dim == 10
         assert np.all(np.abs(spec.eigenvalues) <= 1.5)
+
+    def test_random_spectrum_refuses_an_overflowing_range_before_any_draw(self):
+        widest = np.finfo(float).max / 2.0
+        assert np.all(np.isfinite(random_spectrum(6, widest, make_rng(1)).eigenvalues))
+        rng = make_rng(1)
+        for lam_max in (np.nextafter(widest, math.inf), 1e308):
+            with pytest.raises(ValueError, match="lam_max"):
+                random_spectrum(6, lam_max, rng)
+        # no draw was taken
+        assert rng.random() == make_rng(1).random()
 
     @pytest.mark.parametrize("norm", [None, 0.1])
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -169,6 +169,39 @@ class TestTaylorTerm:
         with pytest.raises(BudgetExceededError):
             expand(spec, a, f, 3, route="contour")
 
+    @pytest.mark.parametrize("values", [[0.0, 1e308], [-1e308, 0.0, 1e308]])
+    def test_contour_refuses_a_spectrum_too_wide_to_integrate(self, mix, values, monkeypatch):
+        # the point count leaves the float range; on the second spectrum
+        # the width itself does too
+        def refuse(*args, **kwargs):
+            raise AssertionError("the contour integral was started")
+
+        monkeypatch.setattr(CircleContour, "real_integral", refuse)
+        spec = Spectrum(np.array(values))
+        a = np.zeros((spec.dim, spec.dim))
+        with pytest.raises(BudgetExceededError):
+            CircleContour.enclosing(spec, mix)
+        with pytest.raises(BudgetExceededError):
+            taylor_term_contour(1, spec, a, mix)
+        with pytest.raises(BudgetExceededError):
+            expand(spec, a, mix, 2, route="contour")
+
+    @pytest.mark.parametrize("hi,measure,points", [
+        (0.5, False, 99), (0.5, True, 707), (40.0, False, 1376), (40.0, True, 8703),
+        (1e6, False, 32_000_096), (1e6, True, 202_386_378)])
+    def test_in_range_contours_keep_their_point_count(self, hi, measure, points):
+        f = (make_gaussian_mixture([(40.0, 1.0), (1.0, 0.5)]) if measure
+             else polynomial_function([0.0, 1.0]))
+        assert CircleContour.enclosing(Spectrum(np.array([-1.0, hi])), f).points == points
+
+    def test_widest_finite_contour_is_sized_then_refused_by_its_budget(self, mix):
+        # a = 5e299 + 1 and b = 1: ceil(64 / artanh(b / a)) points, a finite count
+        spec = Spectrum(np.array([-1.0, 1e300]))
+        semi = 0.5 * (1e300 + 1.0) + 1.0
+        assert CircleContour.enclosing(spec, mix).points == math.ceil(64.0 / math.atanh(1.0 / semi))
+        with pytest.raises(BudgetExceededError, match="over budget"):
+            taylor_term_contour(1, spec, np.zeros((2, 2)), mix)
+
     def test_expand_calls_the_plan_before_its_pass(self, spec4, herm4, mix, monkeypatch):
         calls = []
 
@@ -591,7 +624,7 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("dim", [1, 5, 12])
     def test_resolvent_traces_equal_in_one_block_and_many(self, dim, monkeypatch):
-        import specact.spectral_action as sa_module
+        import specact.operator_model as om_module
 
         rng = make_rng(dim)
         spec = random_spectrum(dim, 3.0, rng)
@@ -600,7 +633,7 @@ class TestWorkingSet:
         orders = list(range(1, 6))
         whole = _resolvent_traces(orders, a, spec.eigenvalues, z)
         for block in (1, 3 * dim * dim):
-            monkeypatch.setattr(sa_module, "CONTOUR_BLOCK", block)
+            monkeypatch.setattr(om_module, "BATCH_ENTRIES", block)
             assert np.array_equal(_resolvent_traces(orders, a, spec.eigenvalues, z), whole)
 
     @pytest.mark.parametrize("layout", ["fortran", "adjoint"])
